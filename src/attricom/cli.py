@@ -54,16 +54,19 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
                    help="outer iteration cap (default 1000)")
     p.add_argument("--tol", type=float, default=1e-5,
                    help="relative objective improvement to keep iterating (default 1e-5)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker count for node/attribute passes (default 1)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
 
 def _config_from(args) -> FitConfig:
     return FitConfig(alpha=args.alpha, lam=args.lam, max_outer_iters=args.max_iters,
-                     rel_improvement_tol=args.tol, rng_seed=args.seed,
-                     num_workers=args.threads,
-                     delta=getattr(args, "delta", None))
+                     rel_improvement_tol=args.tol, rng_seed=args.seed)
+
+
+def _add_planted_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--membership-prob", type=float, default=0.25)
+    p.add_argument("--strength", type=float, default=1.0)
+    p.add_argument("--weight-scale", type=float, default=5.0)
+    p.add_argument("--bias", type=float, default=-2.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,10 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True, help="node count")
     g.add_argument("--communities", type=int, required=True, help="planted community count")
     g.add_argument("--attrs", type=int, required=True, help="attribute count")
-    g.add_argument("--membership-prob", type=float, default=0.25)
-    g.add_argument("--strength", type=float, default=1.0)
-    g.add_argument("--weight-scale", type=float, default=5.0)
-    g.add_argument("--bias", type=float, default=-2.0)
+    _add_planted_flags(g)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("-o", "--out", required=True, help="output path prefix")
     g.set_defaults(func=cmd_gen_planted)
@@ -121,10 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=400)
     p.add_argument("--communities", type=int, default=4)
     p.add_argument("--attrs", type=int, default=16)
-    p.add_argument("--membership-prob", type=float, default=0.25)
-    p.add_argument("--strength", type=float, default=1.0)
-    p.add_argument("--weight-scale", type=float, default=5.0)
-    p.add_argument("--bias", type=float, default=-2.0)
+    _add_planted_flags(p)
     p.add_argument("--gammas", type=_float_list, default=[0.0, 0.6],
                    help="edge-removal fractions (default 0,0.6)")
     p.add_argument("--alphas", type=_float_list, default=[0.0, 0.5],
@@ -133,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--max-iters", type=int, default=150)
     p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0, help="base seed")
     p.add_argument("-o", "--out", default=None,
                    help="output path prefix (default: table to stdout)")
@@ -148,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=3, help="measured outer iterations per size")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", default=None,
                    help="output path prefix (default: table to stdout)")
@@ -201,7 +196,6 @@ def cmd_detect(args) -> int:
         "attr_term": "excluded (alpha=0)" if config.alpha == 0.0 else "included",
         "tol": config.rel_improvement_tol,
         "max_iters": config.max_outer_iters,
-        "threads": config.num_workers,
         "seed": config.rng_seed,
     }
 
@@ -368,7 +362,7 @@ def cmd_robustness(args) -> int:
                 config = FitConfig(alpha=alpha, lam=args.lam,
                                    max_outer_iters=args.max_iters,
                                    rel_improvement_tol=args.tol,
-                                   rng_seed=instance_seed, num_workers=args.threads)
+                                   rng_seed=instance_seed)
                 result = fit(damaged, args.communities, config)
                 cover = threshold_memberships(result.F)
                 score = (match_score(truth, cover, SimilarityKind.F1)
@@ -413,7 +407,7 @@ def cmd_scaling(args) -> int:
         work = graph.num_edges + graph.num_nodes * graph.num_attrs
         config = FitConfig(alpha=args.alpha, lam=args.lam,
                            max_outer_iters=args.iters, rel_improvement_tol=0.0,
-                           rng_seed=args.seed, num_workers=args.threads)
+                           rng_seed=args.seed)
         result = fit(graph, args.communities, config)
         secs = result.iter_seconds
         rows.append((n, graph.num_edges, work, len(secs),

@@ -45,8 +45,7 @@ class AttributedGraph:
 
     Node ids are exactly 0..num_nodes-1 and attribute ids 0..num_attrs-1.
     Only (node, attr) pairs with value 1 are stored; every absent pair is an
-    observed zero. Instances are immutable after construction, so concurrent
-    readers are safe.
+    observed zero. Instances are immutable after construction.
     """
 
     def __init__(self, num_nodes, num_attrs, edges, attr_pairs, diagnostics=None):
@@ -185,8 +184,6 @@ class AffiliationMatrix:
 
     The cache holds the per-community total membership over all nodes; the
     solver reads it to evaluate non-neighbor sums in O(degree) instead of O(N).
-    Rows follow a single-writer contract during solving; concurrent readers
-    are safe.
     """
 
     def __init__(self, values, max_value: float = MAX_MEMBERSHIP):
@@ -303,7 +300,6 @@ class FitConfig:
     disjoint from every neighbor's (an all-zero row among them) gets no edge
     gradient and never moves; seeding starts each node with neighbors off
     zero, but a row the fit projects onto zero stays there.
-    delta, when set, overrides the default membership threshold.
     """
 
     alpha: float = 0.5
@@ -314,8 +310,6 @@ class FitConfig:
     min_dot_guard: float = 1e-10
     max_f: float = MAX_MEMBERSHIP
     rng_seed: int = 0
-    num_workers: int = 1
-    delta: float | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
@@ -330,7 +324,3 @@ class FitConfig:
             raise ValueError("rel_improvement_tol must be >= 0")
         if self.max_f <= 0.0:
             raise ValueError("max_f must be > 0")
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if self.delta is not None and self.delta <= 0.0:
-            raise ValueError("delta override must be > 0")

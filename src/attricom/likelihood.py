@@ -1,7 +1,7 @@
 """Probabilities, log-likelihoods and gradients of the joint edge/attribute model.
 
 Everything here is a pure function of its inputs: same arguments, bit-identical
-results, safe for unlimited concurrent callers.
+results.
 """
 
 from __future__ import annotations
@@ -36,21 +36,14 @@ def _sigmoid(z):
     return np.exp(-np.logaddexp(0.0, np.negative(z)))
 
 
-def edge_prob(f_u, f_v, min_dot: float = 0.0) -> float:
-    """Probability that two nodes connect given their membership rows.
-
-    With min_dot=0 this is the exact model probability 1 - exp(-f_u . f_v),
-    used for reporting. Likelihood code passes the configured guard so the
-    all-zero state keeps a finite log.
-    """
+def edge_prob(f_u, f_v) -> float:
+    """Probability 1 - exp(-f_u . f_v) that two nodes connect given their
+    membership rows, unguarded, for reporting."""
     f_u = np.asarray(f_u, dtype=np.float64)
     f_v = np.asarray(f_v, dtype=np.float64)
     if f_u.shape != f_v.shape:
         raise ValueError("membership vectors differ in length")
-    dot = float(f_u @ f_v)
-    if min_dot > 0.0:
-        dot = max(dot, min_dot)
-    return float(-np.expm1(-dot))
+    return float(-np.expm1(-float(f_u @ f_v)))
 
 
 def attr_prob(w_k, f_u) -> float:

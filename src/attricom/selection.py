@@ -19,15 +19,13 @@ class HoldoutMask:
     pair appears twice.
     """
 
-    def __init__(self, pair_u, pair_v, pair_obs, attr_u, attr_k, attr_obs,
-                 fraction: float):
+    def __init__(self, pair_u, pair_v, pair_obs, attr_u, attr_k, attr_obs):
         self.pair_u = np.asarray(pair_u, dtype=np.int64)
         self.pair_v = np.asarray(pair_v, dtype=np.int64)
         self.pair_obs = np.asarray(pair_obs, dtype=np.uint8)
         self.attr_u = np.asarray(attr_u, dtype=np.int64)
         self.attr_k = np.asarray(attr_k, dtype=np.int64)
         self.attr_obs = np.asarray(attr_obs, dtype=np.uint8)
-        self.fraction = float(fraction)
         self._cache_graph: AttributedGraph | None = None
         self._cache: dict = {}
 
@@ -38,19 +36,10 @@ class HoldoutMask:
         if len({(int(a), int(b)) for a, b in zip(self.attr_u, self.attr_k)}) != len(self.attr_u):
             raise ValueError("duplicate attribute pair in holdout mask")
 
-        edges_by_node: dict[int, list[int]] = {}
-        nonedges_by_node: dict[int, list[int]] = {}
         partners_by_node: dict[int, list[int]] = {}
-        for u, v, o in zip(self.pair_u, self.pair_v, self.pair_obs):
-            target = edges_by_node if o else nonedges_by_node
-            target.setdefault(int(u), []).append(int(v))
-            target.setdefault(int(v), []).append(int(u))
+        for u, v in zip(self.pair_u, self.pair_v):
             partners_by_node.setdefault(int(u), []).append(int(v))
             partners_by_node.setdefault(int(v), []).append(int(u))
-        self._edges_by_node = {u: np.array(sorted(vs), dtype=np.int64)
-                               for u, vs in edges_by_node.items()}
-        self._nonedges_by_node = {u: np.array(sorted(vs), dtype=np.int64)
-                                  for u, vs in nonedges_by_node.items()}
         self._partners_by_node = {u: np.array(sorted(vs), dtype=np.int64)
                                   for u, vs in partners_by_node.items()}
 
@@ -76,12 +65,6 @@ class HoldoutMask:
     def attr_pairs(self) -> dict[tuple[int, int], int]:
         return {(int(u), int(k)): int(o)
                 for u, k, o in zip(self.attr_u, self.attr_k, self.attr_obs)}
-
-    def masked_edge_partners(self, u: int) -> np.ndarray:
-        return self._edges_by_node.get(u, self._EMPTY)
-
-    def masked_nonedge_partners(self, u: int) -> np.ndarray:
-        return self._nonedges_by_node.get(u, self._EMPTY)
 
     def masked_partners(self, u: int) -> np.ndarray:
         """Partners of u over all reserved pairs, regardless of observed value."""
@@ -212,7 +195,7 @@ def make_holdout(G: AttributedGraph, fraction: float, seed: int) -> HoldoutMask:
         attr_u = attr_k = np.zeros(0, dtype=np.int64)
         attr_obs = np.zeros(0, dtype=np.uint8)
 
-    return HoldoutMask(pair_u, pair_v, pair_obs, attr_u, attr_k, attr_obs, fraction)
+    return HoldoutMask(pair_u, pair_v, pair_obs, attr_u, attr_k, attr_obs)
 
 
 def holdout_loglik(G: AttributedGraph, F, W, mask: HoldoutMask,

@@ -7,7 +7,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,16 +41,14 @@ def _trial_steps(ls: LineSearch) -> np.ndarray:
 
 
 def update_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
-                W: AttributeWeights, config: FitConfig, mask=None,
-                adjust_column_sums: bool = True) -> np.ndarray:
+                W: AttributeWeights, config: FitConfig, mask=None) -> np.ndarray:
     """One backtracking projected-gradient step on node u's membership row.
 
     Accepts step t when the node-local scaled objective improves by at least
     armijo_const * t * ||g||^2, trying t = init_step, shrunk by shrink_factor
     up to max_trials times, largest first; leaves the row unchanged when no
-    trial passes. The result is projected onto
-    [0, max_f] per coordinate, and the cached column sums are adjusted by the
-    row delta unless the caller maintains them at iteration boundaries.
+    trial passes. The result is projected onto [0, max_f] per coordinate, and
+    the cached column sums are adjusted by the row delta.
     """
     st = _node_state(u, G, F, W, config, mask)
     f_old = F.values[u].copy()
@@ -79,8 +76,7 @@ def update_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
         return f_old
     cand = rows[1 + accepted[0]].copy()
     F.values[u] = cand
-    if adjust_column_sums:
-        F.column_sums += cand - f_old
+    F.column_sums += cand - f_old
     return cand
 
 
@@ -126,38 +122,6 @@ def update_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
     return w_old
 
 
-def _node_pass(G, F, W, config, mask):
-    n = G.num_nodes
-    if config.num_workers <= 1:
-        for u in range(n):
-            update_node(u, G, F, W, config, mask)
-        return
-    # Disjoint node partitions, single writer per row. Reads of other rows may
-    # be one update stale; column sums stay fixed for the whole pass and are
-    # recomputed at the iteration boundary.
-    def run_part(offset):
-        for u in range(offset, n, config.num_workers):
-            update_node(u, G, F, W, config, mask, adjust_column_sums=False)
-
-    with ThreadPoolExecutor(max_workers=config.num_workers) as pool:
-        list(pool.map(run_part, range(config.num_workers)))
-
-
-def _attr_pass(G, F, W, config, mask):
-    k_total = G.num_attrs
-    if config.num_workers <= 1 or k_total <= 1:
-        for k in range(k_total):
-            update_attr_weights(k, G, F, W, config, mask)
-        return
-
-    def run_part(offset):
-        for k in range(offset, k_total, config.num_workers):
-            update_attr_weights(k, G, F, W, config, mask)
-
-    with ThreadPoolExecutor(max_workers=config.num_workers) as pool:
-        list(pool.map(run_part, range(config.num_workers)))
-
-
 def fit(G: AttributedGraph, C: int, config: FitConfig | None = None,
         mask=None) -> FitResult:
     """Alternate full membership and weight passes until the objective stalls.
@@ -185,9 +149,11 @@ def fit(G: AttributedGraph, C: int, config: FitConfig | None = None,
 
     for it in range(1, config.max_outer_iters + 1):
         tick = time.perf_counter()
-        _node_pass(G, F, W, config, mask)
-        refresh_column_sums(F)
-        _attr_pass(G, F, W, config, mask)
+        for u in range(G.num_nodes):
+            update_node(u, G, F, W, config, mask)
+        refresh_column_sums(F)  # drop the rounding the per-row adjustments add up
+        for k in range(G.num_attrs):
+            update_attr_weights(k, G, F, W, config, mask)
         current = objective(G, F, W, config, mask)
         iter_seconds.append(time.perf_counter() - tick)
         previous = trace[-1].scaled_total
@@ -212,7 +178,8 @@ def default_threshold(num_nodes: int) -> float:
 def threshold_memberships(F: AffiliationMatrix, delta: float | None = None) -> CommunityCover:
     """Binarize memberships at delta (default: the 1/N edge-probability cutoff).
 
-    Node u joins community c iff F[u, c] >= delta. Empty communities are
+    Node u joins community c iff F[u, c] >= delta, so delta must be > 0: at
+    zero every node would join every community. Empty communities are
     dropped and identical member sets deduplicated; the cover is ordered by
     descending size, then ascending member ids, for deterministic output.
     """
@@ -221,6 +188,8 @@ def threshold_memberships(F: AffiliationMatrix, delta: float | None = None) -> C
         delta = default_threshold(n)
     elif n < 2:
         raise ValueError("thresholding needs at least two nodes")
+    elif delta <= 0.0:
+        raise ValueError("delta override must be > 0")
 
     seen = set()
     communities = []

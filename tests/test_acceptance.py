@@ -129,7 +129,7 @@ def test_03_monotone_ascent():
                               weight_scale=3.0, bias=-1.0, seed=seed)
         graph, _, _, _ = ac.planted_instance(spec)
         config = ac.FitConfig(alpha=0.5, lam=1.0, max_outer_iters=50,
-                              rel_improvement_tol=0.0, rng_seed=seed, num_workers=1)
+                              rel_improvement_tol=0.0, rng_seed=seed)
         result = ac.fit(graph, 3, config)
         totals = [o.scaled_total for o in result.objective_trace]
         # rel_improvement_tol=0 stops at the first step that does not improve,
@@ -202,7 +202,7 @@ def test_07_near_linear_scaling():
         graph = ac.bernoulli_attributes(graph, 10, 0.5, seed=8)
         work = graph.num_edges + graph.num_nodes * graph.num_attrs
         config = ac.FitConfig(alpha=0.5, lam=1.0, max_outer_iters=3,
-                              rel_improvement_tol=0.0, rng_seed=0, num_workers=1)
+                              rel_improvement_tol=0.0, rng_seed=0)
         result = ac.fit(graph, 10, config)
         measured.append((n, work, min(result.iter_seconds)))
     ok = True
@@ -289,7 +289,7 @@ def test_10_determinism():
         for run in ("a", "b"):
             rc = cli_main(["detect", "-i", str(edges), "-a", str(attrs),
                            "-c", "4", "--alpha", "0.5", "--lambda", "1.0",
-                           "--threads", "1", "--seed", "7",
+                           "--seed", "7",
                            "-o", str(tmp / run)])
             assert rc == 0
             payload[run] = ((tmp / f"{run}.communities.tsv").read_bytes(),

@@ -50,7 +50,7 @@ class TestDetect:
     def test_deterministic_byte_identical(self, tmp_path, clique_edges):
         for out in ("a", "b"):
             rc = main(["detect", "-i", str(clique_edges), "-c", "2",
-                       "--threads", "1", "--seed", "7", "-o", str(tmp_path / out)])
+                       "--seed", "7", "-o", str(tmp_path / out)])
             assert rc == 0
         for suffix in ("communities.tsv", "weights.tsv"):
             assert ((tmp_path / f"a.{suffix}").read_bytes()
@@ -78,6 +78,11 @@ class TestDetect:
 
     def test_bad_community_count_exits_2(self, tmp_path, clique_edges):
         rc = main(["detect", "-i", str(clique_edges), "-c", "zero",
+                   "-o", str(tmp_path / "x")])
+        assert rc == 2
+
+    def test_nonpositive_delta_exits_2(self, tmp_path, clique_edges):
+        rc = main(["detect", "-i", str(clique_edges), "-c", "2", "--delta", "0",
                    "-o", str(tmp_path / "x")])
         assert rc == 2
 
@@ -204,11 +209,3 @@ class TestExitCodes:
         rc = main(["detect", "-i", str(clique_edges), "-c", "2",
                    "-o", str(tmp_path / "x")])
         assert rc == 1
-
-    def test_threads_flag_forwarded(self, tmp_path, clique_edges):
-        out = tmp_path / "run"
-        rc = main(["detect", "-i", str(clique_edges), "-c", "2",
-                   "--threads", "2", "--seed", "1", "-o", str(out)])
-        assert rc == 0
-        manifest = read_manifest(tmp_path / "run.manifest.tsv")
-        assert manifest["threads"] == "2"

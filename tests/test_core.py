@@ -129,8 +129,6 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(min_dot_guard=0.0)
         with pytest.raises(ValueError):
-            FitConfig(num_workers=0)
-        with pytest.raises(ValueError):
             LineSearch(shrink_factor=1.0)
 
     def test_defaults(self):

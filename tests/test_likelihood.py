@@ -36,10 +36,6 @@ class TestEdgeProb:
             if g[i] > 0:
                 assert edge_prob(bumped, g) > edge_prob(f, g)
 
-    def test_guard_floor(self):
-        assert edge_prob([0.0], [0.0], min_dot=1e-10) == pytest.approx(
-            -math.expm1(-1e-10), rel=1e-9)
-
 
 class TestAttrProb:
     def test_zero_weights_give_half(self):

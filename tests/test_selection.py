@@ -10,9 +10,9 @@ from attricom import (AffiliationMatrix, AttributeWeights, FitConfig,
 from oracles import naive_log_lik_attr, naive_log_lik_graph
 
 
-def _empty_mask(fraction=0.1):
+def _empty_mask():
     z = np.zeros(0, dtype=np.int64)
-    return HoldoutMask(z, z, z, z, z, z, fraction)
+    return HoldoutMask(z, z, z, z, z, z)
 
 
 def _random_attributed(rng, n=20, c=2, k=3):
@@ -63,9 +63,25 @@ class TestMakeHoldout:
         for (u, k), obs in mask.attr_pairs.items():
             assert obs == int(g.has_attr(u, k))
 
+    def test_accessors_match_pair_arrays(self):
+        rng = np.random.default_rng(6)
+        g = _random_attributed(rng, n=20, k=4)
+        mask = make_holdout(g, 0.3, seed=5)
+        pairs = list(zip(mask.pair_u.tolist(), mask.pair_v.tolist()))
+        cells = list(zip(mask.attr_u.tolist(), mask.attr_k.tolist()))
+        for u in range(g.num_nodes):
+            partners = sorted([b for a, b in pairs if a == u] + [a for a, b in pairs if b == u])
+            assert mask.masked_partners(u).tolist() == partners
+            assert mask.masked_attr_ids(u).tolist() == sorted(k for w, k in cells if w == u)
+        for k in range(g.num_attrs):
+            assert mask.masked_node_ids(k).tolist() == sorted(u for u, j in cells if j == k)
+        empty = _empty_mask()
+        assert len(empty.masked_partners(0)) == len(empty.masked_attr_ids(0)) == 0
+        assert len(empty.masked_node_ids(0)) == 0
+
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(ValueError):
-            HoldoutMask([0, 0], [1, 1], [0, 0], [], [], [], 0.1)
+            HoldoutMask([0, 0], [1, 1], [0, 0], [], [], [])
 
     def test_balanced_subsample_above_size_cutoff(self):
         rng = np.random.default_rng(2)
@@ -92,7 +108,7 @@ class TestHoldoutLoglik:
         g = build_graph([(0, 1)], [], 2, 0)
         F = AffiliationMatrix([[math.log(2)], [1.0]])  # P_uv = 0.5
         W = AttributeWeights(np.zeros((0, 2)))
-        mask = HoldoutMask([0], [1], [1], [], [], [], 0.1)
+        mask = HoldoutMask([0], [1], [1], [], [], [])
         score = holdout_loglik(g, F, W, mask, FitConfig(alpha=0.5))
         assert score == pytest.approx(0.5 * math.log(0.5), abs=1e-12)
 
@@ -105,7 +121,7 @@ class TestHoldoutLoglik:
         obs = np.array([int(g.has_edge(int(u), int(v))) for u, v in zip(us, vs)])
         au, ak = np.divmod(np.arange(8 * 2), 2)
         aobs = np.array([int(g.has_attr(int(u), int(k))) for u, k in zip(au, ak)])
-        mask = HoldoutMask(us, vs, obs, au, ak, aobs, 0.5)
+        mask = HoldoutMask(us, vs, obs, au, ak, aobs)
         cfg = FitConfig(alpha=0.3)
         got = holdout_loglik(g, F, W, mask, cfg)
         want = (0.7 * naive_log_lik_graph(g, F, cfg.min_dot_guard)

@@ -177,7 +177,7 @@ class TestFit:
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(5)
         g = _planted_like(rng, n=25, c=2, k=3)
-        cfg = FitConfig(max_outer_iters=30, rng_seed=9, num_workers=1)
+        cfg = FitConfig(max_outer_iters=30, rng_seed=9)
         a = fit(g, 3, cfg)
         b = fit(g, 3, cfg)
         assert np.array_equal(a.F.values, b.F.values)
@@ -209,11 +209,11 @@ class TestFit:
         assert np.array_equal(a.F.values, b.F.values)
         assert np.array_equal(a.W.values, np.zeros_like(a.W.values))
 
-    def test_multiworker_reports_genuine_objective(self):
+    def test_reports_genuine_objective(self):
         from attricom import objective
         rng = np.random.default_rng(8)
         g = _planted_like(rng, n=30, c=2, k=3)
-        cfg = FitConfig(max_outer_iters=10, rng_seed=0, num_workers=3)
+        cfg = FitConfig(max_outer_iters=10, rng_seed=0)
         res = fit(g, 2, cfg)
         recomputed = objective(g, res.F, res.W, cfg)
         assert res.objective_trace[-1] == recomputed
@@ -246,6 +246,13 @@ class TestThresholdMemberships:
         assert [sorted(c) for c in cover] == [[0]]
         cover = threshold_memberships(F, delta=0.2)  # boundary is inclusive
         assert [sorted(c) for c in cover] == [[0, 1]]
+
+    def test_rejects_nonpositive_delta(self):
+        # At delta = 0 every node would join every community.
+        F = AffiliationMatrix([[0.5], [0.0]])
+        for delta in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                threshold_memberships(F, delta=delta)
 
     def test_shared_community_pair_probability_bound(self):
         rng = np.random.default_rng(9)
