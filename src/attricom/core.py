@@ -101,6 +101,12 @@ class AttributedGraph:
         """All (node, attr) pairs with X[u, k] = 1, shape (P, 2)."""
         return self._attr_pairs
 
+    @property
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR (indptr, indices): the sorted neighbors of u are
+        indices[indptr[u]:indptr[u + 1]]."""
+        return self._adj_indptr, self._adj_indices
+
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor ids of node u (read-only view)."""
         return self._adj_indices[self._adj_indptr[u]:self._adj_indptr[u + 1]]
@@ -129,6 +135,21 @@ class AttributedGraph:
     def __repr__(self):
         return (f"AttributedGraph(n={self.num_nodes}, edges={self.num_edges}, "
                 f"attrs={self.num_attrs}, attr_pairs={len(self._attr_pairs)})")
+
+
+def _unique_pairs(pairs: np.ndarray, width: int) -> np.ndarray:
+    """np.unique(pairs, axis=0) for pairs with 0 <= pairs[:, 1] < width, through
+    one sorted int64 key per row."""
+    keys = pairs[:, 0] * width
+    keys += pairs[:, 1]
+    # Not np.unique, whose hash table for integers costs more memory than the sort.
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    out = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, width, out=(out[:, 0], out[:, 1]))
+    return out
 
 
 def build_graph(edge_list, attr_list, n: int, k: int) -> AttributedGraph:
@@ -169,11 +190,11 @@ def build_graph(edge_list, attr_list, n: int, k: int) -> AttributedGraph:
         diag.self_loops_dropped = int(loops.sum())
         edges = np.sort(edges[~loops], axis=1)
         before = edges.shape[0]
-        edges = np.unique(edges, axis=0)
+        edges = _unique_pairs(edges, n)
         diag.duplicate_edges_dropped = before - edges.shape[0]
     if attrs.size:
         before = attrs.shape[0]
-        attrs = np.unique(attrs, axis=0)
+        attrs = _unique_pairs(attrs, k)
         diag.duplicate_attrs_dropped = before - attrs.shape[0]
 
     return AttributedGraph(n, k, edges, attrs, diag)

@@ -170,13 +170,11 @@ def _node_state(u: int, G: AttributedGraph, F: AffiliationMatrix,
         # in one sorted pass, so the arithmetic does not depend on which
         # masked pairs happen to be edges.
         nbrs, excluded = mask.training_neighbors(G, u)
+        f_nbrs = V[nbrs]
         s_minus = F.column_sums - V[u] - V[excluded].sum(axis=0)
-    elif len(nbrs):
-        s_minus = F.column_sums - V[u] - V[nbrs].sum(axis=0)
     else:
-        s_minus = F.column_sums - V[u]
-
-    f_nbrs = V[nbrs] if len(nbrs) else np.zeros((0, F.num_communities))
+        f_nbrs = V[nbrs]
+        s_minus = F.column_sums - V[u] - f_nbrs.sum(axis=0)
 
     K = G.num_attrs
     if K:

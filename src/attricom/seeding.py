@@ -18,6 +18,10 @@ class SeedSet:
     center: int
 
 
+# Node pairs looked up per step of the triangle count; bounds its memory.
+_PAIR_CHUNK = 1 << 13
+
+
 def conductance(G: AttributedGraph, S) -> float:
     """cut(S) / min(vol(S), 2|E| - vol(S)), or 1.0 when the denominator is 0."""
     members = np.fromiter((int(x) for x in S), dtype=np.int64)
@@ -32,20 +36,61 @@ def conductance(G: AttributedGraph, S) -> float:
     mask = np.zeros(G.num_nodes, dtype=bool)
     mask[members] = True
     vol = int(G.degrees[members].sum())
-    internal = 0  # counts each internal edge twice
-    for w in members:
-        internal += int(mask[G.neighbors(w)].sum())
-    cut = vol - internal
+    cut = int(np.count_nonzero(mask[G.edges[:, 0]] != mask[G.edges[:, 1]]))
     denom = min(vol, 2 * G.num_edges - vol)
     if denom == 0:
         return 1.0
     return cut / denom
 
 
-def _closed_neighborhood(G: AttributedGraph, u: int) -> np.ndarray:
-    nbrs = G.neighbors(u)
-    pos = int(np.searchsorted(nbrs, u))
-    return np.insert(nbrs, pos, u)
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges [starts[i], starts[i] + lengths[i]) laid end to end, and for
+    each position the i it came from."""
+    owner = np.repeat(np.arange(starts.size), lengths)
+    offsets = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return starts[owner] + offsets, owner
+
+
+def _is_edge(edge_keys: np.ndarray, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each (a, b) is an edge, by lookup in the sorted keys u * n + v, u < v."""
+    keys = np.minimum(a, b)
+    keys *= n
+    keys += np.maximum(a, b)
+    return edge_keys.take(np.searchsorted(edge_keys, keys), mode="clip") == keys
+
+
+def _triangles(G: AttributedGraph, edge_keys: np.ndarray) -> np.ndarray:
+    """Number of triangles at each node.
+
+    Each edge points from its lower (degree, id) end to its higher one, so a
+    triangle is found once, as the one pair of out-neighbors of its lowest
+    node that is an edge. The O(sum of squared out-degrees) pairs are looked
+    up in chunks of about _PAIR_CHUNK.
+    """
+    n = G.num_nodes
+    u, v = G.edges[:, 0], G.edges[:, 1]
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(G.degrees, kind="stable")] = np.arange(n)
+    flip = rank[u] > rank[v]
+    src = np.where(flip, v, u)
+    order = np.argsort(src, kind="stable")
+    src = src[order]
+    dst = np.where(flip, u, v)[order]
+    del flip, order
+    # Out-edge i pairs with each out-edge after it in its source's run.
+    run_end = np.cumsum(np.bincount(src, minlength=n))
+    cum = np.cumsum(run_end[src] - np.arange(src.size) - 1)  # pairs up to each out-edge
+    total = int(cum[-1]) if cum.size else 0
+    bounds = np.unique(np.searchsorted(cum, np.arange(0, total, _PAIR_CHUNK), side="right"))
+    t = np.zeros(n, dtype=np.int64)
+    for start, stop in zip(bounds, [*bounds[1:], src.size]):
+        entries = np.arange(start, stop)
+        second, owner = _ranges(entries + 1, run_end[src[entries]] - entries - 1)
+        first = entries[owner]
+        hit = _is_edge(edge_keys, n, dst[first], dst[second])
+        t += np.bincount(np.concatenate([src[first[hit]], dst[first[hit]], dst[second[hit]]]),
+                         minlength=n)
+    return t
 
 
 def locally_minimal_neighborhoods(G: AttributedGraph) -> list[SeedSet]:
@@ -58,48 +103,45 @@ def locally_minimal_neighborhoods(G: AttributedGraph) -> list[SeedSet]:
     at conductance 1 (the zero-denominator convention). Duplicate member
     sets are reported once, for the smallest center. Sorted ascending by
     conductance, ties broken by smaller center id.
+
+    Every conductance has a closed form (Gleich & Seshadhri, KDD 2012):
+    vol(N[u]) = d_u + sum of d_v over v in N(u), and N[u] holds d_u + t_u
+    edges, t_u the triangles at u, so cut = vol - 2 (d_u + t_u). Counting
+    triangles is the only superlinear step, O(sum over u of d+_u^2) with
+    edges oriented by (degree, id); it looks node pairs up in chunks of
+    about 2^13 (_PAIR_CHUNK), which bounds its memory. Two adjacent nodes
+    have the same closed neighborhood exactly when d_u = d_v = c_uv + 1,
+    c_uv their common neighbors; that is counted only on edges whose ends
+    tie in degree and conductance.
     """
     n = G.num_nodes
-    two_e = 2 * G.num_edges
     degs = G.degrees
+    u, v = G.edges[:, 0], G.edges[:, 1]
+    edge_keys = np.sort(u * n + v)  # AttributedGraph does not check that edges are sorted
 
-    phi = np.ones(n)
-    keys: list[bytes | None] = [None] * n
-    node_mask = np.zeros(n, dtype=bool)
-    for u in range(n):
-        closed = _closed_neighborhood(G, u)
-        keys[u] = closed.tobytes()
-        if closed.size == n:
-            continue  # spans the graph; phi stays at the comparison value 1
-        node_mask[closed] = True
-        vol = int(degs[closed].sum())
-        internal = 0
-        for w in closed:
-            internal += int(node_mask[G.neighbors(w)].sum())
-        node_mask[closed] = False
-        denom = min(vol, two_e - vol)
-        phi[u] = (vol - internal) / denom if denom else 1.0
+    vol = degs + (np.bincount(u, weights=degs[v], minlength=n)
+                  + np.bincount(v, weights=degs[u], minlength=n)).astype(np.int64)
+    cut = vol - 2 * (degs + _triangles(G, edge_keys))
+    denom = np.minimum(vol, 2 * G.num_edges - vol)  # 0 if u is isolated or N[u] spans the graph
+    phi = np.divide(cut, denom, out=np.ones(n), where=denom > 0)
 
-    best: dict[bytes, SeedSet] = {}
-    for u in range(n):
-        closed = _closed_neighborhood(G, u)
-        if closed.size == n:
-            continue
-        key = keys[u]
-        ok = True
-        for v in G.neighbors(u):
-            if keys[v] == key:
-                continue
-            if not phi[u] < phi[v]:
-                ok = False
-                break
-        if not ok:
-            continue
-        if key not in best or u < best[key].center:
-            best[key] = SeedSet(frozenset(int(x) for x in closed), float(phi[u]), u)
+    same = (degs[u] == degs[v]) & (phi[u] == phi[v])
+    tie = np.flatnonzero(same)
+    indptr, indices = G.adjacency
+    nbr_pos, owner = _ranges(indptr[u[tie]], degs[u[tie]])
+    common = np.bincount(owner, minlength=tie.size,
+                         weights=_is_edge(edge_keys, n, v[tie][owner], indices[nbr_pos]))
+    same[tie] = common == degs[u[tie]] - 1
 
-    seeds = sorted(best.values(), key=lambda s: (s.conductance, s.center))
-    return seeds
+    # v blocks u unless phi_u < phi_v or N[u] = N[v]; of two twins u < v,
+    # v is dropped and u reports the shared neighborhood.
+    beaten = (np.bincount(u[~(phi[u] < phi[v]) & ~same], minlength=n)
+              + np.bincount(v[~(phi[v] < phi[u]) | same], minlength=n))
+    keep = (beaten == 0) & (degs < n - 1)
+    centers = np.flatnonzero(keep)
+    centers = centers[np.lexsort((centers, phi[centers]))]
+    return [SeedSet(frozenset([int(c), *G.neighbors(c).tolist()]), float(phi[c]), int(c))
+            for c in centers]
 
 
 def init_affiliations(G: AttributedGraph, C: int, seed: int) -> AffiliationMatrix:

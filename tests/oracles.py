@@ -144,6 +144,57 @@ def naive_locally_minimal(G):
     return rows
 
 
+def loop_locally_minimal(G):
+    """The seed rule of locally_minimal_neighborhoods, one closed neighborhood
+    at a time with per-node Python loops; returns the same SeedSet list."""
+    from attricom import SeedSet
+
+    n = G.num_nodes
+    two_e = 2 * G.num_edges
+    degs = G.degrees
+
+    def closed_neighborhood(u):
+        nbrs = G.neighbors(u)
+        return np.insert(nbrs, int(np.searchsorted(nbrs, u)), u)
+
+    phi = np.ones(n)
+    keys = [None] * n
+    node_mask = np.zeros(n, dtype=bool)
+    for u in range(n):
+        closed = closed_neighborhood(u)
+        keys[u] = closed.tobytes()
+        if closed.size == n:
+            continue  # spans the graph; phi stays at the comparison value 1
+        node_mask[closed] = True
+        vol = int(degs[closed].sum())
+        internal = 0
+        for w in closed:
+            internal += int(node_mask[G.neighbors(w)].sum())
+        node_mask[closed] = False
+        denom = min(vol, two_e - vol)
+        phi[u] = (vol - internal) / denom if denom else 1.0
+
+    best = {}
+    for u in range(n):
+        closed = closed_neighborhood(u)
+        if closed.size == n:
+            continue
+        key = keys[u]
+        ok = True
+        for v in G.neighbors(u):
+            if keys[v] == key:
+                continue
+            if not phi[u] < phi[v]:
+                ok = False
+                break
+        if not ok:
+            continue
+        if key not in best or u < best[key].center:
+            best[key] = SeedSet(frozenset(int(x) for x in closed), float(phi[u]), u)
+
+    return sorted(best.values(), key=lambda s: (s.conductance, s.center))
+
+
 def f1_similarity(a, b):
     inter = len(a & b)
     return 2.0 * inter / (len(a) + len(b))

@@ -43,7 +43,16 @@ class TestBuildGraph:
         for _ in range(20):
             n = int(rng.integers(2, 30))
             edges = [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(3 * n)]
-            g = build_graph(edges, [], n, 0)
+            attrs = [(int(rng.integers(n)), int(rng.integers(3))) for _ in range(2 * n)]
+            g = build_graph(edges, attrs, n, 3)
+            # The same arrays and counts as deduplicating rows with np.unique(axis=0).
+            raw = np.array(edges)
+            kept = np.sort(raw[raw[:, 0] != raw[:, 1]], axis=1)
+            assert np.array_equal(g.edges, np.unique(kept, axis=0))
+            assert np.array_equal(g.attr_pairs, np.unique(np.array(attrs), axis=0))
+            assert g.diagnostics.self_loops_dropped == len(raw) - len(kept)
+            assert g.diagnostics.duplicate_edges_dropped == len(kept) - g.num_edges
+            assert g.diagnostics.duplicate_attrs_dropped == len(attrs) - len(g.attr_pairs)
             total = 0
             for u in range(n):
                 nbrs = g.neighbors(u)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from attricom import (build_graph, conductance, init_affiliations,
-                      locally_minimal_neighborhoods)
+from attricom import (ForestFireParams, build_graph, conductance, forest_fire,
+                      init_affiliations, locally_minimal_neighborhoods, seeding)
 
-from oracles import naive_conductance, naive_locally_minimal
+from oracles import loop_locally_minimal, naive_conductance, naive_locally_minimal
 
 TRIANGLES_BRIDGE = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]
 
@@ -12,6 +14,18 @@ TRIANGLES_BRIDGE = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]
 def _random_graph(rng, n, p):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return build_graph(edges, [], n, 0)
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_graph(edges, [], n, 0)
+
+
+def _triples(seeds):
+    return [(s.members, s.conductance, s.center) for s in seeds]
 
 
 class TestConductance:
@@ -64,6 +78,53 @@ class TestLocallyMinimalNeighborhoods:
     def test_star_has_none(self):
         g = build_graph([(0, v) for v in range(1, 6)], [], 6, 0)
         assert locally_minimal_neighborhoods(g) == []
+
+    def test_isolated_nodes_are_seeds_at_conductance_one(self):
+        g = build_graph(TRIANGLES_BRIDGE, [], 8, 0)
+        seeds = locally_minimal_neighborhoods(g)
+        assert _triples(seeds) == naive_locally_minimal(g)
+        tail = [(sorted(s.members), s.conductance) for s in seeds[2:]]
+        assert tail == [([6], 1.0), ([7], 1.0)]
+
+    def test_twin_pair_reported_once_for_smaller_center(self):
+        # 1 and 2 have the same closed neighborhood {0, 1, 2, 3}.
+        edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4), (3, 5), (4, 5), (4, 6),
+                 (5, 6)]
+        g = build_graph(edges, [], 7, 0)
+        seeds = locally_minimal_neighborhoods(g)
+        assert _triples(seeds) == naive_locally_minimal(g)
+        assert frozenset({0, 1, 2, 3}) in [s.members for s in seeds]
+        assert 1 in [s.center for s in seeds] and 2 not in [s.center for s in seeds]
+
+    def test_neighborhood_spanning_graph_is_excluded(self):
+        edges = [(0, v) for v in range(1, 6)] + [(1, 2), (3, 4), (4, 5)]
+        g = build_graph(edges, [], 6, 0)
+        seeds = locally_minimal_neighborhoods(g)
+        assert _triples(seeds) == naive_locally_minimal(g)
+        assert seeds and all(len(s.members) < 6 for s in seeds)
+
+    def test_edgeless_graph(self):
+        for n in (1, 4):
+            g = build_graph([], [], n, 0)
+            seeds = locally_minimal_neighborhoods(g)
+            assert _triples(seeds) == naive_locally_minimal(g)
+            assert seeds == loop_locally_minimal(g)
+            expected = [] if n == 1 else [[u] for u in range(n)]
+            assert [sorted(s.members) for s in seeds] == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_loop_on_forest_fire(self, seed, monkeypatch):
+        g = forest_fire(ForestFireParams(n=3000, seed=seed))
+        expected = loop_locally_minimal(g)
+        assert expected and locally_minimal_neighborhoods(g) == expected
+        # Many chunks of node pairs count the same triangles as one.
+        monkeypatch.setattr(seeding, "_PAIR_CHUNK", 997)
+        assert locally_minimal_neighborhoods(g) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(_small_graphs())
+    def test_matches_naive_on_small_graphs(self, g):
+        assert _triples(locally_minimal_neighborhoods(g)) == naive_locally_minimal(g)
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(1)
