@@ -1,4 +1,4 @@
-"""Command line surface: detect, eval, gen, robustness, scaling.
+"""Command line surface: detect, eval, gen, robustness.
 
 Standard output carries only the requested result; logs go to standard
 error. Exit codes: 0 success, 2 usage or parse error, 1 internal error.
@@ -13,7 +13,8 @@ import traceback
 
 import numpy as np
 
-from .core import AttributedGraph, FitConfig, GraphBuildError, build_graph
+from .core import (AttributedGraph, CommunityCover, FitConfig, GraphBuildError,
+                   build_graph)
 from .evaluation import SimilarityKind, match_score
 from .fileio import (FileFormatError, read_attr_file, read_community_file,
                      read_edge_file, sha256_file, write_attr_file,
@@ -21,10 +22,8 @@ from .fileio import (FileFormatError, read_attr_file, read_community_file,
                      write_weights_file)
 from .selection import choose_num_communities
 from .solver import default_threshold, fit, threshold_memberships
-from .synthetic import (ForestFireParams, PlantedSpec, bernoulli_attributes,
-                        forest_fire, planted_instance, remove_edges)
-
-from .core import CommunityCover
+from .synthetic import (ForestFireParams, PlantedSpec, forest_fire,
+                        planted_instance, remove_edges)
 
 
 def _log(message: str) -> None:
@@ -135,36 +134,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output path prefix (default: table to stdout)")
     p.set_defaults(func=cmd_robustness)
 
-    p = sub.add_parser("scaling",
-                       help="per-iteration wall time on forest-fire graphs of growing size")
-    p.add_argument("--sizes", type=_int_list, default=[10000, 30000, 100000])
-    p.add_argument("--attrs", type=int, default=10)
-    p.add_argument("--attr-prob", type=float, default=0.5)
-    p.add_argument("--communities", type=int, default=10)
-    p.add_argument("--iters", type=int, default=3, help="measured outer iterations per size")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", default=None,
-                   help="output path prefix (default: table to stdout)")
-    p.set_defaults(func=cmd_scaling)
-
     return parser
 
 
 def _load_graph(edge_path, attr_path) -> AttributedGraph:
-    edges = read_edge_file(edge_path)
+    edges = np.array(read_edge_file(edge_path), dtype=np.int64).reshape(-1, 2)
     attrs, dims = (read_attr_file(attr_path) if attr_path else ([], None))
+    attrs = np.array(attrs, dtype=np.int64).reshape(-1, 2)
     if dims is not None:
         n, k = dims
     else:
-        n = 0
-        for u, v in edges:
-            n = max(n, u + 1, v + 1)
-        k = 0
-        for u, a in attrs:
-            n = max(n, u + 1)
-            k = max(k, a + 1)
+        n = int(max(edges.max(initial=-1), attrs[:, 0].max(initial=-1))) + 1
+        k = int(attrs[:, 1].max(initial=-1)) + 1
     graph = build_graph(edges, attrs, n, k)
     d = graph.diagnostics
     if d.self_loops_dropped or d.duplicate_edges_dropped or d.duplicate_attrs_dropped:
@@ -388,47 +369,6 @@ def cmd_robustness(args) -> int:
             "gammas": ",".join(f"{g:g}" for g in args.gammas),
             "alphas": ",".join(f"{a:g}" for a in args.alphas),
             "seeds": args.seeds, "base_seed": args.seed,
-            "out_table": table_path,
-            "time_total_s": f"{time.perf_counter() - t0:.3f}",
-        })
-        _log(f"attricom: wrote {table_path}")
-    else:
-        sys.stdout.write(table)
-    return 0
-
-
-def cmd_scaling(args) -> int:
-    t0 = time.perf_counter()
-    rows = []
-    for n in args.sizes:
-        graph = forest_fire(ForestFireParams(n=n, seed=args.seed))
-        graph = bernoulli_attributes(graph, args.attrs, args.attr_prob,
-                                     seed=args.seed + 1)
-        work = graph.num_edges + graph.num_nodes * graph.num_attrs
-        config = FitConfig(alpha=args.alpha, lam=args.lam,
-                           max_outer_iters=args.iters, rel_improvement_tol=0.0,
-                           rng_seed=args.seed)
-        result = fit(graph, args.communities, config)
-        secs = result.iter_seconds
-        rows.append((n, graph.num_edges, work, len(secs),
-                     min(secs), sum(secs) / len(secs)))
-        _log(f"attricom: scaling n={n} |E|={graph.num_edges} "
-             f"min_iter_s={min(secs):.3f}")
-
-    lines = ["n\tedges\twork\titers\tsec_per_iter_min\tsec_per_iter_mean"]
-    for n, e, work, iters, t_min, t_mean in rows:
-        lines.append(f"{n}\t{e}\t{work}\t{iters}\t{t_min:.4f}\t{t_mean:.4f}")
-    table = "\n".join(lines) + "\n"
-
-    if args.out:
-        table_path = f"{args.out}.scaling.tsv"
-        with open(table_path, "w", encoding="utf-8") as fh:
-            fh.write(table)
-        write_manifest(f"{args.out}.manifest.tsv", {
-            "command": "scaling",
-            "sizes": ",".join(str(s) for s in args.sizes),
-            "attrs": args.attrs, "communities": args.communities,
-            "iters": args.iters, "seed": args.seed,
             "out_table": table_path,
             "time_total_s": f"{time.perf_counter() - t0:.3f}",
         })

@@ -137,11 +137,28 @@ class AttributedGraph:
                 f"attrs={self.num_attrs}, attr_pairs={len(self._attr_pairs)})")
 
 
+def pair_keys(a, b, width: int) -> np.ndarray:
+    """The int64 key a * width + b of each pair (a, b) with 0 <= b < width.
+
+    Keys order as the pairs do lexicographically, and np.divmod(keys, width)
+    gives the pairs back.
+    """
+    keys = np.multiply(a, width, dtype=np.int64)
+    keys += b
+    return keys
+
+
+def contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of keys occurs in the ascending array sorted_keys."""
+    if not sorted_keys.size:
+        return np.zeros(np.shape(keys), dtype=bool)
+    return sorted_keys.take(np.searchsorted(sorted_keys, keys), mode="clip") == keys
+
+
 def _unique_pairs(pairs: np.ndarray, width: int) -> np.ndarray:
     """np.unique(pairs, axis=0) for pairs with 0 <= pairs[:, 1] < width, through
-    one sorted int64 key per row."""
-    keys = pairs[:, 0] * width
-    keys += pairs[:, 1]
+    one sorted pair key per row."""
+    keys = pair_keys(pairs[:, 0], pairs[:, 1], width)
     # Not np.unique, whose hash table for integers costs more memory than the sort.
     keys.sort()
     first = np.ones(keys.size, dtype=bool)
@@ -150,6 +167,13 @@ def _unique_pairs(pairs: np.ndarray, width: int) -> np.ndarray:
     out = np.empty((keys.size, 2), dtype=np.int64)
     np.divmod(keys, width, out=(out[:, 0], out[:, 1]))
     return out
+
+
+def _as_pairs(pairs) -> np.ndarray:
+    """An (m, 2) int64 array from an array or any iterable of pairs."""
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def build_graph(edge_list, attr_list, n: int, k: int) -> AttributedGraph:
@@ -165,8 +189,8 @@ def build_graph(edge_list, attr_list, n: int, k: int) -> AttributedGraph:
     if k < 0:
         raise ValueError("attribute count must be >= 0")
 
-    edges = np.asarray(list(edge_list), dtype=np.int64).reshape(-1, 2)
-    attrs = np.asarray(list(attr_list), dtype=np.int64).reshape(-1, 2)
+    edges = _as_pairs(edge_list)
+    attrs = _as_pairs(attr_list)
 
     if edges.size:
         bad = (edges.min(axis=1) < 0) | (edges.max(axis=1) >= n)

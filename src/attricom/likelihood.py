@@ -79,14 +79,11 @@ def log_lik_graph(G: AttributedGraph, F: AffiliationMatrix, mask=None,
 
     edges = G.edges
     masked_dot_sum = 0.0
-    if mask is not None and len(mask.pair_u):
+    if mask is not None:
         # Drop masked pairs from the edge enumeration and account for all of
         # them against the pair total in one canonical order, so the result
         # is bit-identical no matter which masked pairs happen to be edges.
-        n = G.num_nodes
-        edge_keys = edges[:, 0] * n + edges[:, 1]
-        mask_keys = mask.pair_u * n + mask.pair_v
-        edges = edges[~np.isin(edge_keys, mask_keys)]
+        edges = mask.training_graph.edges
         dots = np.einsum("ij,ij->i", V[mask.pair_u], V[mask.pair_v])
         masked_dot_sum = float(dots.sum())
 
@@ -118,13 +115,11 @@ def log_lik_attr(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights,
     pairs = G.attr_pairs
 
     ll = 0.0
-    if mask is not None and len(mask.attr_u):
+    if mask is not None:
         # Keep masked cells out of the present-pair corrections and remove
         # their absent-cell contribution in one canonical order; see
         # log_lik_graph for why this must not be a post-hoc adjustment.
-        pair_keys = pairs[:, 0] * K + pairs[:, 1]
-        mask_keys = mask.attr_u * K + mask.attr_k
-        pairs = pairs[~np.isin(pair_keys, mask_keys)]
+        pairs = mask.training_graph.attr_pairs
         z = np.einsum("ij,ij->i", V[mask.attr_u], w_head[mask.attr_k]) + w_bias[mask.attr_k]
         ll -= float(np.clip(-np.logaddexp(0.0, z), _LOG_LO, _LOG_HI).sum())
 
@@ -161,30 +156,38 @@ class _NodeState:
         self.guard = guard
 
 
+def _row(csr, u: int) -> np.ndarray:
+    indptr, indices = csr
+    return indices[indptr[u]:indptr[u + 1]]
+
+
 def _node_state(u: int, G: AttributedGraph, F: AffiliationMatrix,
                 W: AttributeWeights, config: FitConfig, mask=None) -> _NodeState:
     V = F.values
-    nbrs = G.neighbors(u)
-    if mask is not None and len(mask.masked_partners(u)):
+    if mask is None:
+        f_nbrs = V[G.neighbors(u)]
+        s_minus = F.column_sums - V[u] - f_nbrs.sum(axis=0)
+    else:
         # Neighbors and masked partners leave the non-neighbor sum together,
         # in one sorted pass, so the arithmetic does not depend on which
         # masked pairs happen to be edges.
-        nbrs, excluded = mask.training_neighbors(G, u)
-        f_nbrs = V[nbrs]
-        s_minus = F.column_sums - V[u] - V[excluded].sum(axis=0)
-    else:
-        f_nbrs = V[nbrs]
-        s_minus = F.column_sums - V[u] - f_nbrs.sum(axis=0)
+        f_nbrs = V[mask.training_graph.neighbors(u)]
+        excluded = _row(mask.excluded, u)
+        f_excluded = V[excluded] if len(excluded) > len(f_nbrs) else f_nbrs
+        s_minus = F.column_sums - V[u] - f_excluded.sum(axis=0)
 
     K = G.num_attrs
     if K:
         w_head = W.values[:, :-1]
         w_bias = W.values[:, -1]
-        x_idx = G.node_attr_ids(u)
-        if mask is not None and len(mask.masked_attr_ids(u)):
-            kept, x_idx = mask.training_attrs(G, u)
-            w_head = w_head[kept]
-            w_bias = w_bias[kept]
+        if mask is None:
+            x_idx = G.node_attr_ids(u)
+        else:
+            x_idx = _row(mask.present_attrs, u)
+            kept = _row(mask.kept_attrs, u)
+            if len(kept) < K:
+                w_head = w_head[kept]
+                w_bias = w_bias[kept]
     else:
         w_head = np.zeros((0, F.num_communities))
         w_bias = np.zeros(0)
@@ -235,10 +238,6 @@ def _local_objectives(st: _NodeState, rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def _local_objective(st: _NodeState, f_row: np.ndarray) -> float:
-    return float(_local_objectives(st, f_row[np.newaxis, :])[0])
-
-
 def grad_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
               W: AttributeWeights, config: FitConfig, mask=None) -> np.ndarray:
     """Gradient of the alpha-scaled objective with respect to node u's row.
@@ -263,9 +262,7 @@ def grad_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
     resid = -_sigmoid(z)
     resid[G.attr_node_ids(k)] += 1.0
     if mask is not None:
-        masked_us = mask.masked_node_ids(k)
-        if len(masked_us):
-            resid[masked_us] = 0.0
+        resid[_row(mask.masked_nodes, k)] = 0.0
     g = np.empty(w.shape[0])
     g[:-1] = V.T @ resid
     g[-1] = float(resid.sum())

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffiliationMatrix, AttributedGraph
+from .core import AffiliationMatrix, AttributedGraph, contains, pair_keys
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,8 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _is_edge(edge_keys: np.ndarray, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether each (a, b) is an edge, by lookup in the sorted keys u * n + v, u < v."""
-    keys = np.minimum(a, b)
-    keys *= n
-    keys += np.maximum(a, b)
-    return edge_keys.take(np.searchsorted(edge_keys, keys), mode="clip") == keys
+    """Whether each (a, b) is an edge, by lookup in the sorted edge pair keys."""
+    return contains(edge_keys, pair_keys(np.minimum(a, b), np.maximum(a, b), n))
 
 
 def _triangles(G: AttributedGraph, edge_keys: np.ndarray) -> np.ndarray:
@@ -117,7 +114,7 @@ def locally_minimal_neighborhoods(G: AttributedGraph) -> list[SeedSet]:
     n = G.num_nodes
     degs = G.degrees
     u, v = G.edges[:, 0], G.edges[:, 1]
-    edge_keys = np.sort(u * n + v)  # AttributedGraph does not check that edges are sorted
+    edge_keys = np.sort(pair_keys(u, v, n))  # AttributedGraph does not check that edges are sorted
 
     vol = degs + (np.bincount(u, weights=degs[v], minlength=n)
                   + np.bincount(v, weights=degs[u], minlength=n)).astype(np.int64)

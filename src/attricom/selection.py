@@ -1,125 +1,108 @@
-"""Held-out likelihood machinery for choosing the number of communities."""
+"""Held-out likelihood machinery for choosing the number of communities.
+
+A HoldoutMask reserves node pairs and node-attribute cells of one graph and
+holds, as plain arrays built once, everything a masked fit reads: the graph
+without the reserved pairs, each node's excluded and kept sets, and each
+attribute's masked nodes. make_holdout draws a mask; holdout_loglik scores a
+fit on it.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import AttributedGraph, FitConfig
+from .core import AttributedGraph, FitConfig, _csr, contains, pair_keys
 from .likelihood import PROB_CLAMP, _edge_log_terms, _sigmoid
 
 _SMALL_N = 2000
 _DENSE_ATTR_LIMIT = 5_000_000
 
 
-class HoldoutMask:
-    """Reserved node pairs and node-attribute pairs excluded from training.
+def _sorted_distinct(keys: np.ndarray, what: str) -> np.ndarray:
+    """keys sorted; a key that occurs twice raises ValueError."""
+    keys = np.sort(keys)
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError(f"duplicate {what} in holdout mask")
+    return keys
 
-    Each reserved pair carries the observed value it had in the full data, so
-    held-out likelihood can be evaluated after fitting on the remainder. No
-    pair appears twice.
+
+class HoldoutMask:
+    """Node pairs (u < v) and (node, attribute) cells of G excluded from training.
+
+    pair_u, pair_v, attr_u and attr_k list the reserved pairs and cells, none
+    twice; pair_obs and attr_obs are their observed values in G. The mask
+    belongs to G and precomputes, as arrays:
+
+    - training_graph: G without the reserved edges and attribute cells;
+    - excluded: CSR (indptr, indices) of each node's training neighbors and
+      masked partners together, sorted;
+    - kept_attrs: CSR of each node's attribute ids outside the mask;
+    - present_attrs: CSR of each node's training attributes, as positions
+      among its kept ids;
+    - masked_nodes: CSR of each attribute's masked node ids.
     """
 
-    def __init__(self, pair_u, pair_v, pair_obs, attr_u, attr_k, attr_obs):
-        self.pair_u = np.asarray(pair_u, dtype=np.int64)
-        self.pair_v = np.asarray(pair_v, dtype=np.int64)
-        self.pair_obs = np.asarray(pair_obs, dtype=np.uint8)
-        self.attr_u = np.asarray(attr_u, dtype=np.int64)
-        self.attr_k = np.asarray(attr_k, dtype=np.int64)
-        self.attr_obs = np.asarray(attr_obs, dtype=np.uint8)
-        self._cache_graph: AttributedGraph | None = None
-        self._cache: dict = {}
+    def __init__(self, G: AttributedGraph, pair_u, pair_v, attr_u, attr_k):
+        n, K = G.num_nodes, G.num_attrs
+        pu, pv, au, ak = (np.asarray(a, dtype=np.int64).ravel()
+                          for a in (pair_u, pair_v, attr_u, attr_k))
+        if len(pu) != len(pv) or len(au) != len(ak):
+            raise ValueError("holdout pair arrays differ in length")
+        if len(pu) and (pu.min() < 0 or (pu >= pv).any() or pv.max() >= n):
+            raise ValueError(f"node pairs must satisfy 0 <= u < v < {n}")
+        if len(au) and (au.min() < 0 or au.max() >= n or ak.min() < 0 or ak.max() >= K):
+            raise ValueError(f"attribute pairs must satisfy 0 <= u < {n}, 0 <= k < {K}")
+        self.pair_u, self.pair_v, self.attr_u, self.attr_k = pu, pv, au, ak
 
-        if (self.pair_u >= self.pair_v).any():
-            raise ValueError("node pairs must be canonical (u < v)")
-        if len({(int(a), int(b)) for a, b in zip(self.pair_u, self.pair_v)}) != len(self.pair_u):
-            raise ValueError("duplicate node pair in holdout mask")
-        if len({(int(a), int(b)) for a, b in zip(self.attr_u, self.attr_k)}) != len(self.attr_u):
-            raise ValueError("duplicate attribute pair in holdout mask")
+        mask_keys = pair_keys(pu, pv, n)
+        cell_keys = pair_keys(au, ak, K)
+        sorted_mask = _sorted_distinct(mask_keys, "node pair")
+        sorted_cells = _sorted_distinct(cell_keys, "attribute pair")
+        edge_keys = pair_keys(G.edges[:, 0], G.edges[:, 1], n)
+        present_keys = pair_keys(G.attr_pairs[:, 0], G.attr_pairs[:, 1], K)
+        self.pair_obs = contains(np.sort(edge_keys), mask_keys).astype(np.uint8)
+        self.attr_obs = contains(np.sort(present_keys), cell_keys).astype(np.uint8)
+        train_edges = ~contains(sorted_mask, edge_keys)
+        train_attrs = ~contains(sorted_cells, present_keys)
+        self.training_graph = AttributedGraph(n, K, G.edges[train_edges],
+                                              G.attr_pairs[train_attrs])
 
-        partners_by_node: dict[int, list[int]] = {}
-        for u, v in zip(self.pair_u, self.pair_v):
-            partners_by_node.setdefault(int(u), []).append(int(v))
-            partners_by_node.setdefault(int(v), []).append(int(u))
-        self._partners_by_node = {u: np.array(sorted(vs), dtype=np.int64)
-                                  for u, vs in partners_by_node.items()}
+        # Training neighbors and masked partners are disjoint, so together
+        # they list each excluded node once.
+        e = self.training_graph.edges
+        self.excluded = _csr(np.concatenate([e[:, 0], e[:, 1], pu, pv]),
+                             np.concatenate([e[:, 1], e[:, 0], pv, pu]), n)
+        keep = np.ones(n * K, dtype=bool)
+        keep[sorted_cells] = False
+        kept = np.flatnonzero(keep)  # keys u * K + k of the unmasked cells
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(keep.reshape(n, K).sum(axis=1), out=indptr[1:])
+        self.kept_attrs = (indptr, kept % K)
+        train_u = G.attr_pairs[train_attrs, 0]
+        self.present_attrs = _csr(
+            train_u, np.searchsorted(kept, present_keys[train_attrs]) - indptr[train_u], n)
+        self.masked_nodes = _csr(ak, au, max(K, 1))
 
-        attrs_by_node: dict[int, list[int]] = {}
-        nodes_by_attr: dict[int, list[int]] = {}
-        for u, k in zip(self.attr_u, self.attr_k):
-            attrs_by_node.setdefault(int(u), []).append(int(k))
-            nodes_by_attr.setdefault(int(k), []).append(int(u))
-        self._attrs_by_node = {u: np.array(sorted(ks), dtype=np.int64)
-                               for u, ks in attrs_by_node.items()}
-        self._nodes_by_attr = {k: np.array(sorted(us), dtype=np.int64)
-                               for k, us in nodes_by_attr.items()}
 
-    _EMPTY = np.zeros(0, dtype=np.int64)
+def _draw_distinct(rng, count: int, high: int, canonical=None) -> np.ndarray:
+    """count distinct keys drawn uniformly from range(high), sorted.
 
-    @property
-    def node_pairs(self) -> dict[tuple[int, int], int]:
-        """Reserved unordered node pairs mapped to their observed values."""
-        return {(int(u), int(v)): int(o)
-                for u, v, o in zip(self.pair_u, self.pair_v, self.pair_obs)}
+    canonical maps a batch of raw draws to the keys it stands for, dropping
+    draws that stand for none. Draws are made in batches of the shortfall
+    until count distinct keys are in hand.
+    """
+    keys = np.zeros(0, dtype=np.int64)
+    while len(keys) < count:
+        batch = rng.integers(high, size=count - len(keys))
+        if canonical is not None:
+            batch = canonical(batch)
+        keys = np.unique(np.concatenate([keys, batch]))
+    return keys
 
-    @property
-    def attr_pairs(self) -> dict[tuple[int, int], int]:
-        return {(int(u), int(k)): int(o)
-                for u, k, o in zip(self.attr_u, self.attr_k, self.attr_obs)}
 
-    def masked_partners(self, u: int) -> np.ndarray:
-        """Partners of u over all reserved pairs, regardless of observed value."""
-        return self._partners_by_node.get(u, self._EMPTY)
-
-    def masked_attr_ids(self, u: int) -> np.ndarray:
-        return self._attrs_by_node.get(u, self._EMPTY)
-
-    def masked_node_ids(self, k: int) -> np.ndarray:
-        return self._nodes_by_attr.get(k, self._EMPTY)
-
-    def training_neighbors(self, G: AttributedGraph, u: int):
-        """(neighbors of u outside the mask, neighbors and partners together).
-
-        Both sorted. The node updates of every fit against this mask ask for
-        the same split, so it is computed once per node and cached.
-        """
-        cache = self._graph_cache(G)["nbrs"]
-        if u not in cache:
-            nbrs = G.neighbors(u)
-            partners = self.masked_partners(u)
-            cache[u] = (np.setdiff1d(nbrs, partners, assume_unique=True),
-                        np.union1d(nbrs, partners))
-        return cache[u]
-
-    def training_attrs(self, G: AttributedGraph, u: int):
-        """(attribute ids of u outside the mask, u's present attributes as
-        positions among those ids). Cached per node like training_neighbors."""
-        cache = self._graph_cache(G)["attrs"]
-        if u not in cache:
-            keep = np.ones(G.num_attrs, dtype=bool)
-            keep[self.masked_attr_ids(u)] = False
-            new_pos = np.cumsum(keep) - 1  # attr id -> row among kept attrs
-            x_idx = G.node_attr_ids(u)
-            cache[u] = (np.flatnonzero(keep), new_pos[x_idx[keep[x_idx]]])
-        return cache[u]
-
-    def _graph_cache(self, G: AttributedGraph) -> dict:
-        # Keyed by the graph object: a mask is normally scored against one
-        # graph, and AttributedGraph is immutable.
-        if self._cache_graph is not G:
-            self._cache = {"nbrs": {}, "attrs": {}}
-            self._cache_graph = G
-        return self._cache
-
-    def training_graph(self, G: AttributedGraph) -> AttributedGraph:
-        """The graph with every reserved edge removed, for initialization."""
-        is_edge = self.pair_obs.astype(bool)
-        if not is_edge.any():
-            return G
-        n = G.num_nodes
-        drop = self.pair_u[is_edge] * n + self.pair_v[is_edge]
-        keys = G.edges[:, 0] * n + G.edges[:, 1]
-        keep = ~np.isin(keys, drop)
-        return AttributedGraph(n, G.num_attrs, G.edges[keep], G.attr_pairs)
+def _choose(rng, total: int, count: int) -> np.ndarray:
+    """count distinct indices drawn uniformly from range(total), sorted."""
+    return np.sort(rng.choice(total, size=count, replace=False))
 
 
 def make_holdout(G: AttributedGraph, fraction: float, seed: int) -> HoldoutMask:
@@ -134,68 +117,34 @@ def make_holdout(G: AttributedGraph, fraction: float, seed: int) -> HoldoutMask:
     if not (0.0 < fraction < 1.0):
         raise ValueError("holdout fraction must lie strictly between 0 and 1")
     rng = np.random.default_rng(seed)
-    n = G.num_nodes
+    n, k = G.num_nodes, G.num_attrs
 
     if n <= _SMALL_N:
         us, vs = np.triu_indices(n, 1)
-        total = len(us)
-        count = int(round(fraction * total))
-        if count:
-            idx = np.sort(rng.choice(total, size=count, replace=False))
-            pair_u, pair_v = us[idx], vs[idx]
-        else:
-            pair_u = pair_v = np.zeros(0, dtype=np.int64)
-        pair_obs = np.fromiter(
-            (G.has_edge(int(u), int(v)) for u, v in zip(pair_u, pair_v)),
-            dtype=np.uint8, count=len(pair_u))
+        idx = _choose(rng, len(us), int(round(fraction * len(us))))
+        pair_u, pair_v = us[idx], vs[idx]
     else:
-        count = int(round(fraction * G.num_edges))
-        if count:
-            idx = np.sort(rng.choice(G.num_edges, size=count, replace=False))
-            edge_u = G.edges[idx, 0]
-            edge_v = G.edges[idx, 1]
-        else:
-            edge_u = edge_v = np.zeros(0, dtype=np.int64)
-        taken = {(int(a), int(b)) for a, b in zip(edge_u, edge_v)}
-        non_u, non_v = [], []
-        while len(non_u) < count:
-            a = int(rng.integers(n))
-            b = int(rng.integers(n))
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            if (a, b) in taken or G.has_edge(a, b):
-                continue
-            taken.add((a, b))
-            non_u.append(a)
-            non_v.append(b)
-        pair_u = np.concatenate([edge_u, np.array(non_u, dtype=np.int64)])
-        pair_v = np.concatenate([edge_v, np.array(non_v, dtype=np.int64)])
-        pair_obs = np.concatenate([np.ones(len(edge_u), dtype=np.uint8),
-                                   np.zeros(len(non_u), dtype=np.uint8)])
+        idx = _choose(rng, G.num_edges, int(round(fraction * G.num_edges)))
+        if len(idx) > n * (n - 1) // 2 - G.num_edges:
+            raise ValueError("too few non-edges for a balanced holdout sample")
+        edge_keys = np.sort(pair_keys(G.edges[:, 0], G.edges[:, 1], n))
 
-    k = G.num_attrs
-    total_cells = n * k
-    count_a = int(round(fraction * total_cells))
-    if count_a:
-        if total_cells <= _DENSE_ATTR_LIMIT:
-            lin = np.sort(rng.choice(total_cells, size=count_a, replace=False))
-        else:
-            chosen: set[int] = set()
-            while len(chosen) < count_a:
-                draw = rng.integers(total_cells, size=count_a - len(chosen))
-                chosen.update(int(x) for x in draw)
-            lin = np.array(sorted(chosen), dtype=np.int64)
-        attr_u, attr_k = np.divmod(lin, k)
-        attr_obs = np.fromiter(
-            (G.has_attr(int(u), int(kk)) for u, kk in zip(attr_u, attr_k)),
-            dtype=np.uint8, count=len(attr_u))
+        def non_edges(draw):
+            a, b = np.divmod(draw, n)
+            keys = pair_keys(np.minimum(a, b), np.maximum(a, b), n)[a != b]
+            return keys[~contains(edge_keys, keys)]
+
+        non = _draw_distinct(rng, len(idx), n * n, non_edges)
+        pair_u = np.concatenate([G.edges[idx, 0], non // n])
+        pair_v = np.concatenate([G.edges[idx, 1], non % n])
+
+    count = int(round(fraction * n * k))
+    if n * k <= _DENSE_ATTR_LIMIT:
+        cells = _choose(rng, n * k, count)
     else:
-        attr_u = attr_k = np.zeros(0, dtype=np.int64)
-        attr_obs = np.zeros(0, dtype=np.uint8)
-
-    return HoldoutMask(pair_u, pair_v, pair_obs, attr_u, attr_k, attr_obs)
+        cells = _draw_distinct(rng, count, n * k)
+    attr_u, attr_k = np.divmod(cells, k)
+    return HoldoutMask(G, pair_u, pair_v, attr_u, attr_k)
 
 
 def holdout_loglik(G: AttributedGraph, F, W, mask: HoldoutMask,

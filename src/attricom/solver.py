@@ -15,8 +15,8 @@ from .core import (AffiliationMatrix, AttributedGraph, AttributeWeights,
                    CommunityCover, FitConfig, LineSearch,
                    refresh_column_sums)
 from .likelihood import (_LOG_HI, _LOG_LO, ObjectiveValue, _grad_from_state,
-                         _local_objectives, _node_state, grad_attr_weights,
-                         objective)
+                         _local_objectives, _node_state, _row,
+                         grad_attr_weights, objective)
 from .seeding import init_affiliations
 
 
@@ -88,9 +88,7 @@ def _attr_objective(k, G, F, w, config, mask):
     if len(ones):
         terms[ones] = np.clip(-np.logaddexp(0.0, -z[ones]), _LOG_LO, _LOG_HI)
     if mask is not None:
-        masked_us = mask.masked_node_ids(k)
-        if len(masked_us):
-            terms[masked_us] = 0.0
+        terms[_row(mask.masked_nodes, k)] = 0.0
     return config.alpha * float(terms.sum()) - config.lam * float(np.abs(w[:-1]).sum())
 
 
@@ -137,7 +135,7 @@ def fit(G: AttributedGraph, C: int, config: FitConfig | None = None,
     if config is None:
         config = FitConfig()
 
-    G_init = mask.training_graph(G) if mask is not None else G
+    G_init = mask.training_graph if mask is not None else G
     F = init_affiliations(G_init, C, config.rng_seed)
     W = AttributeWeights(np.zeros((G.num_attrs, C + 1)))
     refresh_column_sums(F)

@@ -76,6 +76,13 @@ class TestDetect:
         rc = main(["detect", "-i", str(bad), "-c", "2", "-o", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_comment_only_edge_file_exits_2(self, tmp_path, capsys):
+        comments = tmp_path / "comments.tsv"
+        comments.write_text("# no edges\n#\n")
+        rc = main(["detect", "-i", str(comments), "-c", "2", "-o", str(tmp_path / "x")])
+        assert rc == 2
+        assert "at least one node" in capsys.readouterr().err
+
     def test_bad_community_count_exits_2(self, tmp_path, clique_edges):
         rc = main(["detect", "-i", str(clique_edges), "-c", "zero",
                    "-o", str(tmp_path / "x")])
@@ -184,18 +191,6 @@ class TestRobustness:
     def test_bad_gamma_exits_2(self):
         rc = main(["robustness", "--gammas", "1.5", "--seeds", "1"])
         assert rc == 2
-
-
-class TestScaling:
-    def test_table_shape(self, tmp_path, capsys):
-        rc = main(["scaling", "--sizes", "200,400", "--attrs", "3",
-                   "--communities", "3", "--iters", "1"])
-        assert rc == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0].startswith("n\tedges\twork\titers")
-        assert len(out) == 3
-        assert out[1].split("\t")[0] == "200"
-        assert out[2].split("\t")[0] == "400"
 
 
 class TestExitCodes:

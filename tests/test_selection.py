@@ -10,9 +10,19 @@ from attricom import (AffiliationMatrix, AttributeWeights, FitConfig,
 from oracles import naive_log_lik_attr, naive_log_lik_graph
 
 
-def _empty_mask():
+def _empty_mask(g):
     z = np.zeros(0, dtype=np.int64)
-    return HoldoutMask(z, z, z, z, z, z)
+    return HoldoutMask(g, z, z, z, z)
+
+
+def _row(csr, i):
+    indptr, indices = csr
+    return indices[indptr[i]:indptr[i + 1]].tolist()
+
+
+def _random_edges(rng, n, m):
+    return [(int(u), int(v)) if u < v else (int(v), int(u))
+            for u, v in rng.integers(0, n, size=(m, 2)) if u != v]
 
 
 def _random_attributed(rng, n=20, c=2, k=3):
@@ -58,10 +68,10 @@ class TestMakeHoldout:
         rng = np.random.default_rng(1)
         g = _random_attributed(rng)
         mask = make_holdout(g, 0.3, seed=3)
-        for (u, v), obs in mask.node_pairs.items():
-            assert obs == int(g.has_edge(u, v))
-        for (u, k), obs in mask.attr_pairs.items():
-            assert obs == int(g.has_attr(u, k))
+        for u, v, obs in zip(mask.pair_u, mask.pair_v, mask.pair_obs):
+            assert obs == int(g.has_edge(int(u), int(v)))
+        for u, k, obs in zip(mask.attr_u, mask.attr_k, mask.attr_obs):
+            assert obs == int(g.has_attr(int(u), int(k)))
 
     def test_accessors_match_pair_arrays(self):
         rng = np.random.default_rng(6)
@@ -69,32 +79,111 @@ class TestMakeHoldout:
         mask = make_holdout(g, 0.3, seed=5)
         pairs = list(zip(mask.pair_u.tolist(), mask.pair_v.tolist()))
         cells = list(zip(mask.attr_u.tolist(), mask.attr_k.tolist()))
+        train = mask.training_graph
+        assert train.edges.tolist() == [e for e in g.edges.tolist() if tuple(e) not in pairs]
+        assert train.attr_pairs.tolist() == [c for c in g.attr_pairs.tolist()
+                                             if tuple(c) not in cells]
         for u in range(g.num_nodes):
             partners = sorted([b for a, b in pairs if a == u] + [a for a, b in pairs if b == u])
-            assert mask.masked_partners(u).tolist() == partners
-            assert mask.masked_attr_ids(u).tolist() == sorted(k for w, k in cells if w == u)
+            nbrs = g.neighbors(u).tolist()
+            assert train.neighbors(u).tolist() == [v for v in nbrs if v not in partners]
+            assert _row(mask.excluded, u) == sorted(set(nbrs) | set(partners))
+            masked = [k for w, k in cells if w == u]
+            kept = [k for k in range(g.num_attrs) if k not in masked]
+            assert _row(mask.kept_attrs, u) == kept
+            assert _row(mask.present_attrs, u) == [kept.index(k) for k in g.node_attr_ids(u)
+                                                   if k not in masked]
         for k in range(g.num_attrs):
-            assert mask.masked_node_ids(k).tolist() == sorted(u for u, j in cells if j == k)
-        empty = _empty_mask()
-        assert len(empty.masked_partners(0)) == len(empty.masked_attr_ids(0)) == 0
-        assert len(empty.masked_node_ids(0)) == 0
+            assert _row(mask.masked_nodes, k) == sorted(u for u, j in cells if j == k)
+        empty = _empty_mask(g)
+        assert np.array_equal(empty.training_graph.edges, g.edges)
+        assert np.array_equal(empty.training_graph.attr_pairs, g.attr_pairs)
+        for u in range(g.num_nodes):
+            assert _row(empty.excluded, u) == g.neighbors(u).tolist()
+            assert _row(empty.kept_attrs, u) == list(range(g.num_attrs))
+            assert _row(empty.present_attrs, u) == g.node_attr_ids(u).tolist()
+        assert all(_row(empty.masked_nodes, k) == [] for k in range(g.num_attrs))
 
     def test_duplicate_pairs_rejected(self):
+        g = build_graph([(0, 1)], [(0, 0)], 3, 2)
         with pytest.raises(ValueError):
-            HoldoutMask([0, 0], [1, 1], [0, 0], [], [], [])
+            HoldoutMask(g, [0, 0], [1, 1], [], [])
+        with pytest.raises(ValueError):
+            HoldoutMask(g, [], [], [2, 2], [1, 1])
+
+    def test_ids_checked_against_graph(self):
+        g = build_graph([(0, 1)], [(0, 0)], 10, 2)
+        pair, cell = "node pairs must satisfy", "attribute pairs must satisfy"
+        bad = [(([0], [50], [], []), pair),        # v beyond the graph
+               (([-1], [3], [], []), pair),        # negative u
+               (([4], [4], [], []), pair),         # u == v
+               (([5], [4], [], []), pair),         # u > v
+               (([0, 1], [2], [], []), "length"),  # arrays differ in length
+               (([], [], [10], [0]), cell),        # node beyond the graph
+               (([], [], [-1], [0]), cell),        # negative node
+               (([], [], [0], [2]), cell),         # attribute beyond the graph
+               (([], [], [0], [-1]), cell)]        # negative attribute
+        for args, message in bad:
+            with pytest.raises(ValueError, match=message):
+                HoldoutMask(g, *args)
+        assert len(HoldoutMask(g, [0, 8], [9, 9], [9], [1]).pair_u) == 2
 
     def test_balanced_subsample_above_size_cutoff(self):
         rng = np.random.default_rng(2)
         n = 2100  # beyond the exact-pair regime
-        edges = [(int(u), int(v)) if u < v else (int(v), int(u))
-                 for u, v in rng.integers(0, n, size=(4000, 2)) if u != v]
-        g = build_graph(edges, [], n, 0)
+        g = build_graph(_random_edges(rng, n, 4000), [], n, 0)
         mask = make_holdout(g, 0.1, seed=4)
         n_edges = int(mask.pair_obs.sum())
         assert n_edges == round(0.1 * g.num_edges)
         assert len(mask.pair_u) == 2 * n_edges  # equal count of non-edges
-        for (u, v), obs in mask.node_pairs.items():
-            assert obs == int(g.has_edge(u, v))
+        for u, v, obs in zip(mask.pair_u, mask.pair_v, mask.pair_obs):
+            assert obs == int(g.has_edge(int(u), int(v)))
+
+    def test_large_graph_pairs_canonical_distinct_and_deterministic(self):
+        rng = np.random.default_rng(3)
+        n = 2500
+        g = build_graph(_random_edges(rng, n, 6000), [], n, 0)
+        mask = make_holdout(g, 0.2, seed=9)
+        count = round(0.2 * g.num_edges)
+        assert (mask.pair_u < mask.pair_v).all()
+        pairs = set(zip(mask.pair_u.tolist(), mask.pair_v.tolist()))
+        assert len(pairs) == len(mask.pair_u) == 2 * count
+        edges = {tuple(e) for e in g.edges.tolist()}
+        obs = mask.pair_obs.astype(bool)
+        assert obs.sum() == count
+        assert all((u, v) in edges for u, v in zip(mask.pair_u[obs].tolist(),
+                                                    mask.pair_v[obs].tolist()))
+        assert not any((u, v) in edges for u, v in zip(mask.pair_u[~obs].tolist(),
+                                                        mask.pair_v[~obs].tolist()))
+        again = make_holdout(g, 0.2, seed=9)
+        assert np.array_equal(mask.pair_u, again.pair_u)
+        assert np.array_equal(mask.pair_v, again.pair_v)
+        assert np.array_equal(mask.pair_obs, again.pair_obs)
+
+    def test_too_few_non_edges_rejected(self, monkeypatch):
+        import attricom.selection as selection
+
+        monkeypatch.setattr(selection, "_SMALL_N", 4)
+        edges = [(u, v) for u in range(8) for v in range(u + 1, 8)][1:]
+        g = build_graph(edges, [], 8, 0)  # one non-edge, 3 edges to reserve
+        with pytest.raises(ValueError):
+            make_holdout(g, 0.1, seed=0)
+
+    def test_cell_sampler_above_dense_limit(self, monkeypatch):
+        import attricom.selection as selection
+
+        monkeypatch.setattr(selection, "_DENSE_ATTR_LIMIT", 10)
+        rng = np.random.default_rng(7)
+        g = _random_attributed(rng, n=30, k=5)
+        mask = make_holdout(g, 0.4, seed=2)
+        cells = set(zip(mask.attr_u.tolist(), mask.attr_k.tolist()))
+        assert len(cells) == len(mask.attr_u) == round(0.4 * 30 * 5)
+        assert ((0 <= mask.attr_k) & (mask.attr_k < 5)).all()
+        for u, k, obs in zip(mask.attr_u, mask.attr_k, mask.attr_obs):
+            assert obs == int(g.has_attr(int(u), int(k)))
+        again = make_holdout(g, 0.4, seed=2)
+        assert np.array_equal(mask.attr_u, again.attr_u)
+        assert np.array_equal(mask.attr_k, again.attr_k)
 
 
 class TestHoldoutLoglik:
@@ -102,13 +191,13 @@ class TestHoldoutLoglik:
         g = build_graph([(0, 1)], [], 2, 0)
         F = AffiliationMatrix(np.ones((2, 1)))
         W = AttributeWeights(np.zeros((0, 2)))
-        assert holdout_loglik(g, F, W, _empty_mask(), FitConfig()) == 0.0
+        assert holdout_loglik(g, F, W, _empty_mask(g), FitConfig()) == 0.0
 
     def test_single_edge_hand_value(self):
         g = build_graph([(0, 1)], [], 2, 0)
         F = AffiliationMatrix([[math.log(2)], [1.0]])  # P_uv = 0.5
         W = AttributeWeights(np.zeros((0, 2)))
-        mask = HoldoutMask([0], [1], [1], [], [], [])
+        mask = HoldoutMask(g, [0], [1], [], [])
         score = holdout_loglik(g, F, W, mask, FitConfig(alpha=0.5))
         assert score == pytest.approx(0.5 * math.log(0.5), abs=1e-12)
 
@@ -121,7 +210,9 @@ class TestHoldoutLoglik:
         obs = np.array([int(g.has_edge(int(u), int(v))) for u, v in zip(us, vs)])
         au, ak = np.divmod(np.arange(8 * 2), 2)
         aobs = np.array([int(g.has_attr(int(u), int(k))) for u, k in zip(au, ak)])
-        mask = HoldoutMask(us, vs, obs, au, ak, aobs)
+        mask = HoldoutMask(g, us, vs, au, ak)
+        assert mask.pair_obs.tolist() == obs.tolist()
+        assert mask.attr_obs.tolist() == aobs.tolist()
         cfg = FitConfig(alpha=0.3)
         got = holdout_loglik(g, F, W, mask, cfg)
         want = (0.7 * naive_log_lik_graph(g, F, cfg.min_dot_guard)
@@ -148,14 +239,14 @@ class TestMaskedTraining:
         mask = make_holdout(g, 0.2, seed=11)
         base = fit(g, 2, cfg, mask=mask)
 
-        pairs = mask.node_pairs
-        edge_pair = next(p for p, o in pairs.items() if o == 1)
-        non_pair = next(p for p, o in pairs.items() if o == 0)
+        pairs = np.column_stack([mask.pair_u, mask.pair_v]).tolist()
+        edge_pair = tuple(pairs[int(np.flatnonzero(mask.pair_obs == 1)[0])])
+        non_pair = tuple(pairs[int(np.flatnonzero(mask.pair_obs == 0)[0])])
         edges = {tuple(e) for e in g.edges.tolist()}
         edges.discard(edge_pair)
         edges.add(non_pair)
         attrs = {tuple(a) for a in g.attr_pairs.tolist()}
-        attr_cell, attr_obs = next(iter(mask.attr_pairs.items()))
+        attr_cell, attr_obs = (int(mask.attr_u[0]), int(mask.attr_k[0])), mask.attr_obs[0]
         if attr_obs:
             attrs.discard(attr_cell)
         else:

@@ -8,7 +8,7 @@ from attricom import (AffiliationMatrix, AttributeWeights, CommunityCover,
                       edge_prob, fit, grad_node, init_affiliations, match_score,
                       rank_attributes, refresh_column_sums,
                       threshold_memberships, update_attr_weights, update_node)
-from attricom.likelihood import _local_objective, _node_state
+from attricom.likelihood import _local_objectives, _node_state
 from attricom.solver import _attr_objective
 
 from oracles import naive_log_lik_attr
@@ -48,9 +48,9 @@ class TestUpdateNode:
         W = AttributeWeights(np.zeros((0, 2)))
         cfg = FitConfig(alpha=0.0)
         st = _node_state(0, g, F, W, cfg)
-        before = _local_objective(st, F.values[0])
+        before = _local_objectives(st, F.values[0][np.newaxis])[0]
         new_row = update_node(0, g, F, W, cfg)
-        after = _local_objective(st, new_row)
+        after = _local_objectives(st, new_row[np.newaxis])[0]
         assert after > before
 
     def test_projection_pins_zero_coordinate(self):
@@ -87,7 +87,8 @@ class TestUpdateNode:
             want, t = f_old, ls.init_step
             for _ in range(ls.max_trials):
                 cand = np.clip(f_old + t * grad, 0.0, cfg.max_f)
-                gain = _local_objective(st, cand) - _local_objective(st, f_old)
+                gain = (_local_objectives(st, cand[np.newaxis])[0]
+                        - _local_objectives(st, f_old[np.newaxis])[0])
                 if gain >= ls.armijo_const * t * float(grad @ grad):
                     want = cand
                     break
