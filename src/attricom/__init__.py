@@ -9,7 +9,7 @@ held-out model selection, and cover-agreement metrics.
 
 from .core import (AffiliationMatrix, AttributedGraph, AttributeWeights,
                    BuildDiagnostics, CommunityCover, FitConfig,
-                   GraphBuildError, LineSearch, MAX_MEMBERSHIP, build_graph,
+                   GraphBuildError, MAX_MEMBERSHIP, MIN_DOT_GUARD, build_graph,
                    refresh_column_sums)
 from .evaluation import SimilarityKind, match_score, relative_gain, set_similarity
 from .likelihood import (ObjectiveValue, attr_prob, edge_prob,
@@ -27,8 +27,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AffiliationMatrix", "AttributedGraph", "AttributeWeights",
     "BuildDiagnostics", "CommunityCover", "FitConfig", "FitResult",
-    "ForestFireParams", "GraphBuildError", "HoldoutMask", "LineSearch",
-    "MAX_MEMBERSHIP", "ObjectiveValue", "PlantedSpec", "SeedSet",
+    "ForestFireParams", "GraphBuildError", "HoldoutMask",
+    "MAX_MEMBERSHIP", "MIN_DOT_GUARD", "ObjectiveValue", "PlantedSpec", "SeedSet",
     "SimilarityKind", "attr_prob", "bernoulli_attributes", "build_graph",
     "choose_num_communities", "conductance", "default_threshold", "edge_prob",
     "fit", "forest_fire", "grad_attr_weights", "grad_node",

@@ -186,7 +186,7 @@ def cmd_detect(args) -> int:
         manifest["communities_mode"] = "auto"
         manifest["candidates"] = ",".join(str(c) for c, _ in scores)
         for c, score in scores:
-            manifest[f"holdout_score_{c}"] = f"{score:.9g}"
+            manifest[f"holdout_score_{c}"] = repr(score)
         num_communities = best
     else:
         try:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -10,6 +11,12 @@ import numpy as np
 # probability 1 - exp(-F_u . F_v) saturates far below this value, so the cap
 # only prevents exp underflow from destroying gradient signal.
 MAX_MEMBERSHIP = 1000.0
+# Membership dot products are floored here inside edge log terms, so the
+# all-zero state stays finite. Below the guard an edge term is constant, so a
+# row whose support is disjoint from every neighbor's (an all-zero row among
+# them) gets no edge gradient and never moves; seeding starts each node with
+# neighbors off zero, but a row the fit projects onto zero stays there.
+MIN_DOT_GUARD = 1e-10
 
 
 class GraphBuildError(ValueError):
@@ -231,14 +238,14 @@ class AffiliationMatrix:
     solver reads it to evaluate non-neighbor sums in O(degree) instead of O(N).
     """
 
-    def __init__(self, values, max_value: float = MAX_MEMBERSHIP):
+    def __init__(self, values):
         values = np.array(values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError("membership matrix must be 2-dimensional")
         if not np.isfinite(values).all():
             raise ValueError("membership matrix must be finite")
-        if values.size and (values.min() < 0.0 or values.max() > max_value):
-            raise ValueError(f"membership values must lie in [0, {max_value}]")
+        if values.size and (values.min() < 0.0 or values.max() > MAX_MEMBERSHIP):
+            raise ValueError(f"membership values must lie in [0, {MAX_MEMBERSHIP}]")
         self.values = values
         self.num_communities = values.shape[1]
         self.column_sums = values.sum(axis=0)
@@ -319,41 +326,25 @@ class CommunityCover:
 
 
 @dataclass(frozen=True)
-class LineSearch:
-    """Backtracking line-search constants shared by all block updates."""
-
-    init_step: float = 1.0
-    shrink_factor: float = 0.3
-    armijo_const: float = 1e-4
-    max_trials: int = 16
-
-    def __post_init__(self):
-        if not (0.0 < self.shrink_factor < 1.0):
-            raise ValueError("shrink_factor must lie in (0, 1)")
-        if self.init_step <= 0.0 or self.armijo_const <= 0.0 or self.max_trials < 1:
-            raise ValueError("invalid line search constants")
-
-
-@dataclass(frozen=True)
 class FitConfig:
-    """All solver hyperparameters and numerical guards.
+    """The solver settings a caller chooses.
 
     alpha balances the graph and attribute log-likelihoods; lam is the l1
-    strength on non-bias attribute weights. min_dot_guard floors membership
-    dot products inside edge log terms so the all-zero state stays finite.
-    Below the guard an edge term is constant, so a row whose support is
-    disjoint from every neighbor's (an all-zero row among them) gets no edge
-    gradient and never moves; seeding starts each node with neighbors off
-    zero, but a row the fit projects onto zero stays there.
+    strength on non-bias attribute weights. A fit stops when one outer
+    iteration raises the objective by less than rel_improvement_tol
+    (relative), or after max_outer_iters; rng_seed fixes seeding and holdout
+    draws. The numerics of the method are fixed module constants:
+    MAX_MEMBERSHIP caps memberships, MIN_DOT_GUARD (also readable here as
+    min_dot_guard) floors edge dot products, and attricom.solver fixes the
+    line-search steps and the Armijo constant.
     """
+
+    min_dot_guard: ClassVar[float] = MIN_DOT_GUARD
 
     alpha: float = 0.5
     lam: float = 1.0
     max_outer_iters: int = 1000
     rel_improvement_tol: float = 1e-5
-    line_search: LineSearch = field(default_factory=LineSearch)
-    min_dot_guard: float = 1e-10
-    max_f: float = MAX_MEMBERSHIP
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -361,11 +352,7 @@ class FitConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if self.lam < 0.0:
             raise ValueError("lambda must be >= 0")
-        if self.min_dot_guard <= 0.0:
-            raise ValueError("min_dot_guard must be > 0")
         if self.max_outer_iters < 0:
             raise ValueError("max_outer_iters must be >= 0")
         if self.rel_improvement_tol < 0.0:
             raise ValueError("rel_improvement_tol must be >= 0")
-        if self.max_f <= 0.0:
-            raise ValueError("max_f must be > 0")

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffiliationMatrix, AttributedGraph, AttributeWeights, FitConfig
+from .core import (MIN_DOT_GUARD, AffiliationMatrix, AttributedGraph,
+                   AttributeWeights, FitConfig)
 
 # Bernoulli probabilities are clamped to this band before taking logarithms.
 PROB_CLAMP = 1e-12
@@ -34,6 +35,16 @@ class ObjectiveValue:
 def _sigmoid(z):
     # exp(-log(1 + exp(-z))) is stable on both tails and saturates to 0/1.
     return np.exp(-np.logaddexp(0.0, np.negative(z)))
+
+
+def _log_q(z):
+    """log sigmoid(z), clamped to [_LOG_LO, _LOG_HI]."""
+    return np.minimum(np.maximum(-np.logaddexp(0.0, np.negative(z)), _LOG_LO), _LOG_HI)
+
+
+def _log_1q(z):
+    """log(1 - sigmoid(z)), clamped to [_LOG_LO, _LOG_HI]."""
+    return np.minimum(np.maximum(-np.logaddexp(0.0, z), _LOG_LO), _LOG_HI)
 
 
 def edge_prob(f_u, f_v) -> float:
@@ -60,12 +71,11 @@ def attr_prob(w_k, f_u) -> float:
     return float(_sigmoid(z))
 
 
-def _edge_log_terms(dots: np.ndarray, guard: float) -> np.ndarray:
-    return np.log(-np.expm1(-np.maximum(dots, guard)))
+def _edge_log_terms(dots: np.ndarray) -> np.ndarray:
+    return np.log(-np.expm1(-np.maximum(dots, MIN_DOT_GUARD)))
 
 
-def log_lik_graph(G: AttributedGraph, F: AffiliationMatrix, mask=None,
-                  min_dot_guard: float = 1e-10) -> float:
+def log_lik_graph(G: AttributedGraph, F: AffiliationMatrix, mask=None) -> float:
     """Graph log-likelihood over unordered node pairs.
 
     Edge terms are log(1 - exp(-max(F_u . F_v, guard))); the non-edge term
@@ -93,7 +103,7 @@ def log_lik_graph(G: AttributedGraph, F: AffiliationMatrix, mask=None,
         chunk = edges[start:start + _EDGE_CHUNK]
         dots = np.einsum("ij,ij->i", V[chunk[:, 0]], V[chunk[:, 1]])
         edge_dot_sum += float(dots.sum())
-        ll_edges += float(_edge_log_terms(dots, min_dot_guard).sum())
+        ll_edges += float(_edge_log_terms(dots).sum())
 
     nonedge_dot = total_pair_dot - edge_dot_sum - masked_dot_sum
     return ll_edges - nonedge_dot
@@ -121,15 +131,15 @@ def log_lik_attr(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights,
         # log_lik_graph for why this must not be a post-hoc adjustment.
         pairs = mask.training_graph.attr_pairs
         z = np.einsum("ij,ij->i", V[mask.attr_u], w_head[mask.attr_k]) + w_bias[mask.attr_k]
-        ll -= float(np.clip(-np.logaddexp(0.0, z), _LOG_LO, _LOG_HI).sum())
+        ll -= float(_log_1q(z).sum())
 
     rows_per_chunk = max(1, _ATTR_CELL_CHUNK // K)
     p = 0  # cursor into pairs, which are sorted by node id
     for start in range(0, G.num_nodes, rows_per_chunk):
         stop = min(start + rows_per_chunk, G.num_nodes)
         z = V[start:stop] @ w_head.T + w_bias
-        log_q = np.clip(-np.logaddexp(0.0, -z), _LOG_LO, _LOG_HI)
-        log_1q = np.clip(-np.logaddexp(0.0, z), _LOG_LO, _LOG_HI)
+        log_q = _log_q(z)
+        log_1q = _log_1q(z)
         ll += float(log_1q.sum())
         p_end = int(np.searchsorted(pairs[:, 0], stop, side="left"))
         if p_end > p:
@@ -144,16 +154,15 @@ def log_lik_attr(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights,
 class _NodeState:
     """Per-node snapshot used by gradient and line-search evaluations."""
 
-    __slots__ = ("f_nbrs", "s_minus", "w_head", "w_bias", "x_idx", "alpha", "guard")
+    __slots__ = ("f_nbrs", "s_minus", "w_head", "w_bias", "x_idx", "alpha")
 
-    def __init__(self, f_nbrs, s_minus, w_head, w_bias, x_idx, alpha, guard):
+    def __init__(self, f_nbrs, s_minus, w_head, w_bias, x_idx, alpha):
         self.f_nbrs = f_nbrs
         self.s_minus = s_minus
         self.w_head = w_head
         self.w_bias = w_bias
         self.x_idx = x_idx  # indices of attributes present on the node
         self.alpha = alpha
-        self.guard = guard
 
 
 def _row(csr, u: int) -> np.ndarray:
@@ -193,8 +202,7 @@ def _node_state(u: int, G: AttributedGraph, F: AffiliationMatrix,
         w_bias = np.zeros(0)
         x_idx = np.zeros(0, dtype=np.int64)
 
-    return _NodeState(f_nbrs, s_minus, w_head, w_bias, x_idx, config.alpha,
-                      config.min_dot_guard)
+    return _NodeState(f_nbrs, s_minus, w_head, w_bias, x_idx, config.alpha)
 
 
 def _grad_from_state(st: _NodeState, f_row: np.ndarray) -> np.ndarray:
@@ -203,9 +211,9 @@ def _grad_from_state(st: _NodeState, f_row: np.ndarray) -> np.ndarray:
     # Below the guard the edge term is the constant log(1 - exp(-guard)),
     # so its gradient contribution there is exactly zero: a row whose support
     # is disjoint from every neighbor's is a plateau it cannot leave (see
-    # FitConfig.min_dot_guard). Above ~700 the ratio underflows to 0 anyway;
+    # core.MIN_DOT_GUARD). Above ~700 the ratio underflows to 0 anyway;
     # capping avoids a spurious expm1 overflow.
-    active = dots > st.guard
+    active = dots > MIN_DOT_GUARD
     if active.any():
         ratio[active] = 1.0 / np.expm1(np.minimum(dots[active], 700.0))
     g = st.f_nbrs.T @ ratio - st.s_minus
@@ -224,16 +232,14 @@ def _local_objectives(st: _NodeState, rows: np.ndarray) -> np.ndarray:
     once for all of its trial steps rather than once per step.
     """
     dots = rows @ st.f_nbrs.T
-    lg = _edge_log_terms(dots, st.guard).sum(axis=1) - rows @ st.s_minus
+    lg = _edge_log_terms(dots).sum(axis=1) - rows @ st.s_minus
     total = (1.0 - st.alpha) * lg
     if st.w_head.shape[0]:
         z = rows @ st.w_head.T + st.w_bias
-        log_1q = np.minimum(np.maximum(-np.logaddexp(0.0, z), _LOG_LO), _LOG_HI)
+        log_1q = _log_1q(z)
         lx = log_1q.sum(axis=1)
         if len(st.x_idx):
-            z_on = z[:, st.x_idx]
-            log_q_on = np.minimum(np.maximum(-np.logaddexp(0.0, -z_on), _LOG_LO), _LOG_HI)
-            lx += log_q_on.sum(axis=1) - log_1q[:, st.x_idx].sum(axis=1)
+            lx += _log_q(z[:, st.x_idx]).sum(axis=1) - log_1q[:, st.x_idx].sum(axis=1)
         total += st.alpha * lx
     return total
 
@@ -272,7 +278,7 @@ def grad_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
 def objective(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights,
               config: FitConfig, mask=None) -> ObjectiveValue:
     """Assemble graph, attribute and l1 parts into the scaled fitting objective."""
-    lg = log_lik_graph(G, F, mask, config.min_dot_guard)
+    lg = log_lik_graph(G, F, mask)
     lx = log_lik_attr(G, F, W, mask)
     l1 = float(config.lam * np.abs(W.values[:, :-1]).sum())
     total = (1.0 - config.alpha) * lg + config.alpha * lx - l1

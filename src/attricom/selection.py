@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import solver
 from .core import AttributedGraph, FitConfig, _csr, contains, pair_keys
 from .likelihood import PROB_CLAMP, _edge_log_terms, _sigmoid
 
@@ -158,7 +159,7 @@ def holdout_loglik(G: AttributedGraph, F, W, mask: HoldoutMask,
         is_edge = mask.pair_obs.astype(bool)
         lg = 0.0
         if is_edge.any():
-            lg += float(_edge_log_terms(dots[is_edge], config.min_dot_guard).sum())
+            lg += float(_edge_log_terms(dots[is_edge]).sum())
         if (~is_edge).any():
             lg -= float(dots[~is_edge].sum())  # log(1 - P_uv) = -F_u . F_v
         total += (1.0 - config.alpha) * lg
@@ -182,8 +183,6 @@ def choose_num_communities(G: AttributedGraph, candidates, config: FitConfig,
     candidate inherits another's warm start. Ties go to the smaller count.
     Returns (best count, list of (count, score) in candidate order).
     """
-    from .solver import fit  # local import to avoid a module cycle
-
     candidates = [int(c) for c in candidates]
     if not candidates:
         raise ValueError("candidate list must be nonempty")
@@ -193,7 +192,7 @@ def choose_num_communities(G: AttributedGraph, candidates, config: FitConfig,
     mask = make_holdout(G, fraction, config.rng_seed)
     scores: list[tuple[int, float]] = []
     for C in candidates:
-        result = fit(G, C, config, mask=mask)
+        result = solver.fit(G, C, config, mask=mask)
         scores.append((C, holdout_loglik(G, result.F, result.W, mask, config)))
     best = min(scores, key=lambda cs: (-cs[1], cs[0]))[0]
     return best, scores

@@ -4,20 +4,26 @@ the fitted memberships into a community cover."""
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (AffiliationMatrix, AttributedGraph, AttributeWeights,
-                   CommunityCover, FitConfig, LineSearch,
+from .core import (MAX_MEMBERSHIP, AffiliationMatrix, AttributedGraph,
+                   AttributeWeights, CommunityCover, FitConfig,
                    refresh_column_sums)
-from .likelihood import (_LOG_HI, _LOG_LO, ObjectiveValue, _grad_from_state,
-                         _local_objectives, _node_state, _row,
+from .likelihood import (ObjectiveValue, _grad_from_state, _local_objectives,
+                         _log_1q, _log_q, _node_state, _row,
                          grad_attr_weights, objective)
 from .seeding import init_affiliations
+
+# Backtracking line search of every block update: trial steps 0.3**i for
+# i < 16, largest first, built by repeated multiplication; a step t passes
+# when it raises the block objective by at least _ARMIJO * t * ||g||^2.
+_STEPS = np.cumprod(np.r_[1.0, np.full(15, 0.3)])
+_STEPS.setflags(write=False)
+_ARMIJO = 1e-4
 
 
 @dataclass
@@ -32,23 +38,15 @@ class FitResult:
     iter_seconds: list[float] = field(default_factory=list)
 
 
-@functools.lru_cache(maxsize=8)
-def _trial_steps(ls: LineSearch) -> np.ndarray:
-    """init_step * shrink_factor**i for i < max_trials, by repeated multiplication."""
-    steps = np.cumprod(np.r_[ls.init_step, np.full(ls.max_trials - 1, ls.shrink_factor)])
-    steps.setflags(write=False)
-    return steps
-
-
 def update_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
                 W: AttributeWeights, config: FitConfig, mask=None) -> np.ndarray:
     """One backtracking projected-gradient step on node u's membership row.
 
-    Accepts step t when the node-local scaled objective improves by at least
-    armijo_const * t * ||g||^2, trying t = init_step, shrunk by shrink_factor
-    up to max_trials times, largest first; leaves the row unchanged when no
-    trial passes. The result is projected onto [0, max_f] per coordinate, and
-    the cached column sums are adjusted by the row delta.
+    Accepts the largest step t in _STEPS for which the node-local scaled
+    objective improves by at least _ARMIJO * t * ||g||^2; leaves the row
+    unchanged when no trial passes. The result is projected onto
+    [0, MAX_MEMBERSHIP] per coordinate, and the cached column sums are
+    adjusted by the row delta.
     """
     st = _node_state(u, G, F, W, config, mask)
     f_old = F.values[u].copy()
@@ -56,22 +54,20 @@ def update_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
     g_norm2 = float(g @ g)
     if g_norm2 == 0.0:
         return f_old
-    # Projection locks a coordinate whenever the step would leave [0, max_f];
+    # Projection locks a coordinate whenever the step would leave the box;
     # if every coordinate is locked the candidate equals f_old for any step
     # size, so all trials would fail the (strictly positive) Armijo test.
-    movable = ((g > 0.0) & (f_old < config.max_f)) | ((g < 0.0) & (f_old > 0.0))
+    movable = ((g > 0.0) & (f_old < MAX_MEMBERSHIP)) | ((g < 0.0) & (f_old > 0.0))
     if not movable.any():
         return f_old
 
-    ls = config.line_search
     # All trial steps are evaluated in one batch, with f_old as row 0; the
     # first (largest) step passing the Armijo test is taken.
-    steps = _trial_steps(ls)
-    rows = np.empty((len(steps) + 1, len(f_old)))
+    rows = np.empty((len(_STEPS) + 1, len(f_old)))
     rows[0] = f_old
-    np.clip(f_old + steps[:, np.newaxis] * g, 0.0, config.max_f, out=rows[1:])
+    np.clip(f_old + _STEPS[:, np.newaxis] * g, 0.0, MAX_MEMBERSHIP, out=rows[1:])
     values = _local_objectives(st, rows)
-    accepted = np.flatnonzero(values[1:] - values[0] >= ls.armijo_const * steps * g_norm2)
+    accepted = np.flatnonzero(values[1:] - values[0] >= _ARMIJO * _STEPS * g_norm2)
     if not len(accepted):
         return f_old
     cand = rows[1 + accepted[0]].copy()
@@ -83,10 +79,10 @@ def update_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
 def _attr_objective(k, G, F, w, config, mask):
     """alpha-scaled Bernoulli log-likelihood of attribute k minus its l1 cost."""
     z = F.values @ w[:-1] + w[-1]
-    terms = np.clip(-np.logaddexp(0.0, z), _LOG_LO, _LOG_HI)  # log(1 - Q)
+    terms = _log_1q(z)
     ones = G.attr_node_ids(k)
     if len(ones):
-        terms[ones] = np.clip(-np.logaddexp(0.0, -z[ones]), _LOG_LO, _LOG_HI)
+        terms[ones] = _log_q(z[ones])
     if mask is not None:
         terms[_row(mask.masked_nodes, k)] = 0.0
     return config.alpha * float(terms.sum()) - config.lam * float(np.abs(w[:-1]).sum())
@@ -109,14 +105,11 @@ def update_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
         return w_old
 
     base = _attr_objective(k, G, F, w_old, config, mask)
-    ls = config.line_search
-    t = ls.init_step
-    for _ in range(ls.max_trials):
+    for t in _STEPS:
         cand = w_old + t * d
-        if _attr_objective(k, G, F, cand, config, mask) - base >= ls.armijo_const * t * d_norm2:
+        if _attr_objective(k, G, F, cand, config, mask) - base >= _ARMIJO * t * d_norm2:
             W.values[k] = cand
             return cand
-        t *= ls.shrink_factor
     return w_old
 
 

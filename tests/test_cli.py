@@ -70,6 +70,18 @@ class TestDetect:
         assert "holdout_score_2" in manifest and "holdout_score_4" in manifest
         assert manifest["communities"] in {"2", "4"}
 
+    def test_auto_scores_printed_in_full(self, tmp_path, clique_edges, monkeypatch):
+        # At 9 significant digits both scores print as -1.
+        scores = [(2, -1.0000000001), (4, -1.00000000001)]
+        monkeypatch.setattr("attricom.cli.choose_num_communities",
+                            lambda graph, candidates, config: (4, scores))
+        rc = main(["detect", "-i", str(clique_edges), "-c", "auto",
+                   "--candidates", "2,4", "-o", str(tmp_path / "run")])
+        assert rc == 0
+        manifest = read_manifest(tmp_path / "run.manifest.tsv")
+        assert float(manifest["holdout_score_2"]) == -1.0000000001
+        assert float(manifest["holdout_score_4"]) == -1.00000000001
+
     def test_unparseable_line_exits_2(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("0\t1\nnot an edge\n")

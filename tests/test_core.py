@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import attricom
 from attricom import (AffiliationMatrix, AttributeWeights, CommunityCover,
-                      FitConfig, GraphBuildError, LineSearch, build_graph,
+                      FitConfig, GraphBuildError, MAX_MEMBERSHIP, build_graph,
                       refresh_column_sums)
 
 
@@ -96,6 +99,9 @@ class TestAffiliationMatrix:
         with pytest.raises(ValueError):
             AffiliationMatrix([[1e9]])
         with pytest.raises(ValueError):
+            AffiliationMatrix([[np.nextafter(MAX_MEMBERSHIP, np.inf)]])
+        assert AffiliationMatrix([[MAX_MEMBERSHIP]]).values[0, 0] == MAX_MEMBERSHIP
+        with pytest.raises(ValueError):
             AffiliationMatrix([[np.nan]])
 
 
@@ -135,16 +141,17 @@ class TestFitConfig:
             FitConfig(alpha=1.5)
         with pytest.raises(ValueError):
             FitConfig(lam=-1.0)
-        with pytest.raises(ValueError):
-            FitConfig(min_dot_guard=0.0)
-        with pytest.raises(ValueError):
-            LineSearch(shrink_factor=1.0)
+        with pytest.raises(TypeError):
+            FitConfig(min_dot_guard=1e-8)
 
     def test_defaults(self):
         cfg = FitConfig()
         assert cfg.alpha == 0.5 and cfg.lam == 1.0
         assert cfg.rel_improvement_tol == 1e-5
-        assert cfg.line_search.init_step == 1.0
-        assert cfg.line_search.shrink_factor == 0.3
-        assert cfg.line_search.armijo_const == 1e-4
-        assert cfg.line_search.max_trials == 16
+        assert cfg.min_dot_guard == 1e-10 == attricom.MIN_DOT_GUARD
+
+    def test_fields_are_the_caller_settings(self):
+        names = [f.name for f in dataclasses.fields(FitConfig)]
+        assert names == ["alpha", "lam", "max_outer_iters", "rel_improvement_tol",
+                         "rng_seed"]
+        assert not hasattr(attricom, "LineSearch")

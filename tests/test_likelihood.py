@@ -5,7 +5,7 @@ import pytest
 
 from attricom import (AffiliationMatrix, AttributeWeights, FitConfig, attr_prob,
                       build_graph, edge_prob, grad_attr_weights, grad_node,
-                      log_lik_attr, log_lik_graph, objective)
+                      log_lik_attr, log_lik_graph, make_holdout, objective)
 
 from oracles import (central_difference, naive_grad_attr_weights,
                      naive_grad_node, naive_log_lik_attr, naive_log_lik_graph,
@@ -202,3 +202,33 @@ class TestObjective:
         b = objective(G, F, W, cfg)
         assert a == b
         assert log_lik_graph(G, F) == log_lik_graph(G, F)
+
+
+class TestMaskedMatchesOracles:
+    def test_masked_parts_match_naive_loops(self):
+        rng = np.random.default_rng(16)
+        cfg = FitConfig(alpha=0.5)
+        n, c, k = 14, 3, 4
+        for seed in range(30):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < 0.3]
+            attrs = [(u, a) for u in range(n) for a in range(k) if rng.random() < 0.4]
+            G = build_graph(edges, attrs, n, k)
+            F = AffiliationMatrix(rng.uniform(0.1, 2.0, size=(n, c)))
+            W = AttributeWeights(rng.uniform(-1.5, 1.5, size=(k, c + 1)))
+            mask = make_holdout(G, 0.25, seed)
+            pairs = {(int(u), int(v)) for u, v in zip(mask.pair_u, mask.pair_v)}
+            cells = {(int(u), int(a)) for u, a in zip(mask.attr_u, mask.attr_k)}
+            assert pairs and cells
+
+            assert log_lik_graph(G, F, mask) == pytest.approx(
+                naive_log_lik_graph(G, F, masked=pairs), abs=1e-9)
+            assert log_lik_attr(G, F, W, mask) == pytest.approx(
+                naive_log_lik_attr(G, F, W, masked=cells), abs=1e-9)
+            for u in range(n):
+                slow = naive_grad_node(u, G, F, W, cfg.alpha, masked_pairs=pairs,
+                                       masked_attrs=cells)
+                assert np.allclose(grad_node(u, G, F, W, cfg, mask), slow, atol=1e-9)
+            for a in range(k):
+                slow = naive_grad_attr_weights(a, G, F, W, masked=cells)
+                assert np.allclose(grad_attr_weights(a, G, F, W, mask), slow, atol=1e-9)
