@@ -138,9 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graph(edge_path, attr_path) -> AttributedGraph:
-    edges = np.array(read_edge_file(edge_path), dtype=np.int64).reshape(-1, 2)
-    attrs, dims = (read_attr_file(attr_path) if attr_path else ([], None))
-    attrs = np.array(attrs, dtype=np.int64).reshape(-1, 2)
+    edges = read_edge_file(edge_path)
+    attrs, dims = (read_attr_file(attr_path) if attr_path
+                   else (np.empty((0, 2), dtype=np.int64), None))
     if dims is not None:
         n, k = dims
     else:

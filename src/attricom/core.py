@@ -330,13 +330,14 @@ class FitConfig:
     """The solver settings a caller chooses.
 
     alpha balances the graph and attribute log-likelihoods; lam is the l1
-    strength on non-bias attribute weights. A fit stops when one outer
-    iteration raises the objective by less than rel_improvement_tol
-    (relative), or after max_outer_iters; rng_seed fixes seeding and holdout
-    draws. The numerics of the method are fixed module constants:
-    MAX_MEMBERSHIP caps memberships, MIN_DOT_GUARD (also readable here as
-    min_dot_guard) floors edge dot products, and attricom.solver fixes the
-    line-search steps and the Armijo constant.
+    strength on non-bias attribute weights. A fit stops when one full
+    node pass (see solver.fit) raises the objective by less than
+    rel_improvement_tol (relative), or after max_outer_iters passes;
+    rng_seed fixes seeding and holdout draws. The numerics of the method
+    are fixed module constants: MAX_MEMBERSHIP caps memberships,
+    MIN_DOT_GUARD (also readable here as min_dot_guard) floors edge dot
+    products, and attricom.solver fixes the line-search steps and the
+    Armijo constant.
     """
 
     min_dot_guard: ClassVar[float] = MIN_DOT_GUARD

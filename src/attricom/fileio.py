@@ -14,6 +14,7 @@ Manifest       flat "key<TAB>value" lines, one per entry.
 from __future__ import annotations
 
 import hashlib
+import warnings
 
 import numpy as np
 
@@ -36,8 +37,20 @@ def _parse_int(path, line_no, token):
         raise FileFormatError(path, line_no, f"expected an integer, got {token!r}") from None
 
 
+def _parse_header(line):
+    """(N, K) from a '#N<TAB>K' line, else None."""
+    fields = line[1:].split("\t")
+    if len(fields) != 2:
+        return None
+    try:
+        return int(fields[0]), int(fields[1])
+    except ValueError:
+        return None
+
+
 def _read_pair_lines(path):
-    """Yield (line_no, line) for data lines; capture a '#N<TAB>K' first line."""
+    """Pairs of a pair file as (a, b) tuples, and its '#N<TAB>K' first line
+    as dims (None without one), parsed line by line."""
     pairs = []
     dims = None
     with open(path, encoding="utf-8") as fh:
@@ -47,12 +60,7 @@ def _read_pair_lines(path):
                 continue
             if line.startswith("#"):
                 if line_no == 1:
-                    fields = line[1:].split("\t")
-                    if len(fields) == 2:
-                        try:
-                            dims = (int(fields[0]), int(fields[1]))
-                        except ValueError:
-                            dims = None
+                    dims = _parse_header(line)
                 continue
             fields = line.split("\t")
             if len(fields) != 2:
@@ -63,14 +71,53 @@ def _read_pair_lines(path):
     return pairs, dims
 
 
-def read_edge_file(path) -> list[tuple[int, int]]:
-    pairs, _ = _read_pair_lines(path)
-    return pairs
+def _load_pairs(path):
+    """The pairs of a pair file as an (E, 2) int64 array, or None.
+
+    np.loadtxt reads the data lines _read_pair_lines accepts to the same
+    pairs and raises on the lines it rejects, except that it also cuts a
+    line at a '#' anywhere in it, where the line reader only skips lines
+    starting with '#'. So a file with a '#' elsewhere, or one that loadtxt
+    rejects or reads as other than two columns, gets None and is left to
+    the line reader, which reports the offending line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    line_start_hashes = data.startswith(b"#") + data.count(b"\n#") + data.count(b"\r#")
+    if data.count(b"#") != line_start_hashes:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            pairs = np.loadtxt(path, dtype=np.int64, delimiter="\t", comments="#",
+                               ndmin=2, encoding="utf-8")
+    except (ValueError, OverflowError):
+        return None
+    if pairs.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    return pairs if pairs.shape[1] == 2 else None
+
+
+def _read_pairs(path):
+    """(pairs as an (E, 2) int64 array, '#N<TAB>K' dims or None)."""
+    pairs = _load_pairs(path)
+    if pairs is None:
+        lines, dims = _read_pair_lines(path)
+        return np.array(lines, dtype=np.int64).reshape(-1, 2), dims
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline().rstrip("\r\n")
+    return pairs, _parse_header(first) if first.startswith("#") else None
+
+
+def read_edge_file(path) -> np.ndarray:
+    """Edges as an (E, 2) int64 array."""
+    return _read_pairs(path)[0]
 
 
 def read_attr_file(path):
-    """Returns (pairs, dims) where dims is the optional (N, K) header or None."""
-    return _read_pair_lines(path)
+    """Returns (pairs, dims): an (E, 2) int64 array and the optional (N, K)
+    header, or None."""
+    return _read_pairs(path)
 
 
 def write_edge_file(path, G: AttributedGraph) -> None:

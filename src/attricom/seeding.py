@@ -177,12 +177,20 @@ def init_affiliations(G: AttributedGraph, C: int, seed: int) -> AffiliationMatri
                     break
             values[col, j] = 1.0
 
+    _cover_by_neighbours(G, values)
+    return AffiliationMatrix(values)
+
+
+def _cover_by_neighbours(G: AttributedGraph, values: np.ndarray) -> None:
+    """Put each node with neighbours but no membership in 0/1 `values` into
+    the column holding most of its neighbours (ties to the lower column),
+    in place. Counts one column at a time, so memory stays O(|E| + N)."""
     uncovered = ~values.any(axis=1) & (G.degrees > 0)
     heads = np.concatenate([G.edges[:, 0], G.edges[:, 1]])
     tails = np.concatenate([G.edges[:, 1], G.edges[:, 0]])
     keep = uncovered[heads]
-    counts = np.zeros((n, C))
-    np.add.at(counts, heads[keep], values[tails[keep]])
-    values[uncovered, counts[uncovered].argmax(axis=1)] = 1.0
-
-    return AffiliationMatrix(values)
+    heads, tails = heads[keep], tails[keep]
+    counts = np.stack([np.bincount(heads, weights=values[tails, c],
+                                   minlength=G.num_nodes)[uncovered]
+                       for c in range(values.shape[1])], axis=1)
+    values[uncovered, counts.argmax(axis=1)] = 1.0

@@ -24,11 +24,15 @@ from .seeding import init_affiliations
 _STEPS = np.cumprod(np.r_[1.0, np.full(15, 0.3)])
 _STEPS.setflags(write=False)
 _ARMIJO = 1e-4
+# Once shrinking starts, a full node pass follows every
+# _FULL_PASS_PERIOD - 1 shrunk passes in a row (see fit).
+_FULL_PASS_PERIOD = 4
 
 
 @dataclass
 class FitResult:
-    """Fitted memberships and weights plus the per-iteration objective trace."""
+    """Fitted memberships and weights plus the per-iteration objective trace,
+    wall times and update_node call counts (num_nodes marks a full pass)."""
 
     F: AffiliationMatrix
     W: AttributeWeights
@@ -36,30 +40,33 @@ class FitResult:
     iterations_run: int
     converged: bool
     iter_seconds: list[float] = field(default_factory=list)
+    nodes_updated: list[int] = field(default_factory=list)
 
 
 def update_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
-                W: AttributeWeights, config: FitConfig, mask=None) -> np.ndarray:
+                W: AttributeWeights, config: FitConfig, mask=None) -> bool:
     """One backtracking projected-gradient step on node u's membership row.
 
     Accepts the largest step t in _STEPS for which the node-local scaled
     objective improves by at least _ARMIJO * t * ||g||^2; leaves the row
     unchanged when no trial passes. The result is projected onto
     [0, MAX_MEMBERSHIP] per coordinate, and the cached column sums are
-    adjusted by the row delta.
+    adjusted by the row delta. Returns True when it wrote a new row (the
+    objective rose strictly, so the row changed), False when it left the
+    row as it was.
     """
     st = _node_state(u, G, F, W, config, mask)
     f_old = F.values[u].copy()
     g = _grad_from_state(st, f_old)
     g_norm2 = float(g @ g)
     if g_norm2 == 0.0:
-        return f_old
+        return False
     # Projection locks a coordinate whenever the step would leave the box;
     # if every coordinate is locked the candidate equals f_old for any step
     # size, so all trials would fail the (strictly positive) Armijo test.
     movable = ((g > 0.0) & (f_old < MAX_MEMBERSHIP)) | ((g < 0.0) & (f_old > 0.0))
     if not movable.any():
-        return f_old
+        return False
 
     # All trial steps are evaluated in one batch, with f_old as row 0; the
     # first (largest) step passing the Armijo test is taken.
@@ -69,11 +76,11 @@ def update_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
     values = _local_objectives(st, rows)
     accepted = np.flatnonzero(values[1:] - values[0] >= _ARMIJO * _STEPS * g_norm2)
     if not len(accepted):
-        return f_old
-    cand = rows[1 + accepted[0]].copy()
+        return False
+    cand = rows[1 + accepted[0]]
     F.values[u] = cand
     F.column_sums += cand - f_old
-    return cand
+    return True
 
 
 def _attr_objective(k, G, F, w, config, mask):
@@ -115,13 +122,23 @@ def update_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
 
 def fit(G: AttributedGraph, C: int, config: FitConfig | None = None,
         mask=None) -> FitResult:
-    """Alternate full membership and weight passes until the objective stalls.
+    """Alternate membership and weight passes until the objective stalls.
 
     Memberships start from conductance-ranked seed neighborhoods, weights at
-    zero. Stops when one outer iteration improves the scaled objective by less
-    than rel_improvement_tol (relative), or at max_outer_iters. With a holdout
-    mask, masked pairs are excluded from initialization, gradients and the
-    reported objective alike.
+    zero. Each iteration updates node rows in id order, then every
+    attribute's weights. A node whose last update left its row unchanged is
+    settled. A full pass updates every node; a shrunk pass updates only the
+    unsettled ones. A pass is full when it is the first, when fewer than
+    half the nodes are settled (a shrunk pass would save less than half a
+    pass, and the first passes, in which nearly every row moves and the fit
+    finds its optimum, stay those of the plain full-pass method), after
+    _FULL_PASS_PERIOD - 1 shrunk passes in a row, and after a shrunk pass
+    that improved the scaled objective by less than rel_improvement_tol
+    (relative). Only a full pass that improves by less than that stops the
+    fit as converged; max_outer_iters counts every pass. Skipping a node
+    leaves its block as it is, so the trace still never falls. With a
+    holdout mask, masked pairs are excluded from initialization, gradients
+    and the reported objective alike.
     """
     if C < 1:
         raise ValueError("community count must be >= 1")
@@ -135,27 +152,35 @@ def fit(G: AttributedGraph, C: int, config: FitConfig | None = None,
 
     trace = [objective(G, F, W, config, mask)]
     iter_seconds: list[float] = []
+    nodes_updated: list[int] = []
     converged = False
     iterations = 0
+    settled = np.zeros(G.num_nodes, dtype=bool)
+    since_full = 0  # passes since the last full pass began; 0: the next one is full
 
     for it in range(1, config.max_outer_iters + 1):
         tick = time.perf_counter()
-        for u in range(G.num_nodes):
-            update_node(u, G, F, W, config, mask)
+        full = since_full == 0 or 2 * np.count_nonzero(settled) < G.num_nodes
+        nodes = range(G.num_nodes) if full else np.flatnonzero(~settled).tolist()
+        for u in nodes:
+            settled[u] = not update_node(u, G, F, W, config, mask)
         refresh_column_sums(F)  # drop the rounding the per-row adjustments add up
         for k in range(G.num_attrs):
             update_attr_weights(k, G, F, W, config, mask)
         current = objective(G, F, W, config, mask)
         iter_seconds.append(time.perf_counter() - tick)
+        nodes_updated.append(len(nodes))
         previous = trace[-1].scaled_total
         trace.append(current)
         iterations = it
         threshold = config.rel_improvement_tol * max(abs(previous), 1e-12)
-        if current.scaled_total - previous < threshold:
+        stalled = current.scaled_total - previous < threshold
+        if stalled and full:
             converged = True
             break
+        since_full = 0 if stalled else (1 if full else since_full + 1) % _FULL_PASS_PERIOD
 
-    return FitResult(F, W, trace, iterations, converged, iter_seconds)
+    return FitResult(F, W, trace, iterations, converged, iter_seconds, nodes_updated)
 
 
 def default_threshold(num_nodes: int) -> float:

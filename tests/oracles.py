@@ -204,6 +204,22 @@ def jaccard_similarity(a, b):
     return len(a & b) / len(a | b)
 
 
+def loop_cover_by_neighbours(G, values):
+    """Each node with neighbours and an all-zero row joins the column most of
+    its neighbours hold, counted before any node joins; ties to the lower."""
+    out = values.copy()
+    for u in range(G.num_nodes):
+        if values[u].any() or G.degrees[u] == 0:
+            continue
+        counts = [0] * values.shape[1]
+        for v in G.neighbors(u):
+            for c in range(values.shape[1]):
+                if values[v, c] > 0:
+                    counts[c] += 1
+        out[u, counts.index(max(counts))] = 1.0
+    return out
+
+
 def naive_match_score(truth_sets, detected_sets, sim):
     forward = sum(max(sim(t, d) for d in detected_sets) for t in truth_sets)
     backward = sum(max(sim(t, d) for t in truth_sets) for d in detected_sets)

@@ -16,6 +16,8 @@ from oracles import (central_difference, f1_similarity, jaccard_similarity,
                      naive_grad_node, naive_log_lik_attr, naive_log_lik_graph,
                      naive_match_score, random_instance)
 
+pytestmark = pytest.mark.slow
+
 # Planted family shared by criteria 4, 5, 9 and 10: strength 1.0 puts the
 # single-shared-community edge probability at 1 - e^-1 = 0.63 >= 0.5, and
 # weight_scale 5 with bias -2 puts member attribute probability at

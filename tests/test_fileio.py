@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from attricom import AttributeWeights, CommunityCover, build_graph
-from attricom.fileio import (FileFormatError, read_attr_file,
+from attricom.fileio import (FileFormatError, _load_pairs, _read_pair_lines,
+                             read_attr_file,
                              read_community_file, read_edge_file,
                              read_manifest, read_weights_file, sha256_file,
                              write_attr_file, write_community_file,
@@ -22,7 +25,7 @@ class TestEdgeFile:
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "edges.tsv"
         path.write_text("# a comment\n0\t1\n\n2\t3\n")
-        assert read_edge_file(path) == [(0, 1), (2, 3)]
+        assert read_edge_file(path).tolist() == [[0, 1], [2, 3]]
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "edges.tsv"
@@ -55,7 +58,60 @@ class TestAttrFile:
         path.write_text("0\t2\n4\t0\n")
         pairs, dims = read_attr_file(path)
         assert dims is None
-        assert pairs == [(0, 2), (4, 0)]
+        assert pairs.tolist() == [[0, 2], [4, 0]]
+
+
+_INT = st.builds(lambda pad, sign, x: pad + sign + str(x) + pad,
+                 st.sampled_from(["", " "]), st.sampled_from(["", "-", "+"]),
+                 st.integers(0, 10**6))
+_DATA = st.builds(lambda a, b: f"{a}\t{b}", _INT, _INT)
+_LINE = st.one_of(
+    _DATA, _DATA,  # data lines twice as likely as each other kind
+    st.sampled_from(["", " ", "\t", "# comment", "#", "#3\t4", "## twice"]),
+    st.builds(lambda a, b: f"#{a}\t{b}", st.integers(0, 99), st.integers(0, 99)),
+    st.builds(lambda a, b, t: f"{a}\t{b}{t}", _INT, _INT,         # inline '#', trailing tab
+              st.sampled_from(["#c", " # c", "\t", "\t#"])),
+    st.sampled_from([" #indented", "\t# indented", "1 2", "x\t1", "1", "1\t2\t3",
+                     "1\t", "\t1", "1.0\t2", "1_0\t2"]),
+)
+
+
+def _outcome(read, path):
+    """The pairs and dims a reader returns, or the line its error names."""
+    try:
+        pairs, dims = read(path)
+    except FileFormatError as exc:
+        return "error", exc.line_no
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2).tolist(), dims
+
+
+class TestPairFileFastPath:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(_LINE, max_size=8),
+           endings=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=8, max_size=8),
+           last_newline=st.booleans())
+    def test_matches_line_reader(self, tmp_path, lines, endings, last_newline):
+        text = "".join(line + end for line, end in zip(lines, endings))
+        if lines and not last_newline:
+            text = text[:-len(endings[len(lines) - 1])]
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        want = _outcome(_read_pair_lines, path)
+        assert _outcome(read_attr_file, path) == want
+        fast = _load_pairs(path)
+        if fast is not None:
+            assert want[0] != "error"
+            assert fast.dtype == np.int64 and fast.tolist() == want[0]
+
+    def test_clean_file_takes_fast_path(self, tmp_path):
+        path = tmp_path / "attrs.tsv"
+        path.write_bytes(b"#9\t3\r\n0\t2\r\n\r\n# note\n+4\t-0\n 5 \t1")
+        assert _load_pairs(path).tolist() == [[0, 2], [4, 0], [5, 1]]
+        pairs, dims = read_attr_file(path)
+        assert pairs.tolist() == [[0, 2], [4, 0], [5, 1]] and dims == (9, 3)
+        path.write_bytes(b"")
+        assert _load_pairs(path).shape == (0, 2)
 
 
 class TestCommunityFile:

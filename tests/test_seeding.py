@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from attricom import (ForestFireParams, build_graph, conductance, forest_fire,
                       init_affiliations, locally_minimal_neighborhoods, seeding)
 
-from oracles import loop_locally_minimal, naive_conductance, naive_locally_minimal
+from oracles import (loop_cover_by_neighbours, loop_locally_minimal, naive_conductance,
+                     naive_locally_minimal)
 
 TRIANGLES_BRIDGE = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]
 
@@ -169,6 +170,17 @@ class TestInitAffiliations:
         assert F.values[8].any()
         assert not F.values[9].any()
         assert np.array_equal(F.values, init_affiliations(g, 2, seed=3).values)
+
+    def test_cover_by_neighbours_matches_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            g = _random_graph(rng, n, float(rng.uniform(0.05, 0.4)))
+            c = int(rng.integers(1, 6))
+            values = (rng.random((n, c)) < rng.uniform(0.0, 0.5)).astype(float)
+            want = loop_cover_by_neighbours(g, values)
+            seeding._cover_by_neighbours(g, values)
+            assert np.array_equal(values, want)
 
     def test_no_all_zero_columns(self):
         rng = np.random.default_rng(3)

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import attricom.solver as solver
 from attricom import (MAX_MEMBERSHIP, AffiliationMatrix, AttributeWeights,
-                      CommunityCover, FitConfig, SimilarityKind, build_graph,
-                      default_threshold, edge_prob, fit, grad_node,
-                      init_affiliations, match_score, rank_attributes,
+                      CommunityCover, FitConfig, ForestFireParams, SimilarityKind,
+                      bernoulli_attributes, build_graph,
+                      default_threshold, edge_prob, fit, forest_fire, grad_node,
+                      init_affiliations, make_holdout, match_score, rank_attributes,
                       refresh_column_sums, threshold_memberships,
                       update_attr_weights, update_node)
 from attricom.likelihood import _local_objectives, _node_state
@@ -40,7 +44,7 @@ class TestUpdateNode:
         F = AffiliationMatrix([[0.4, 0.9]])
         W = AttributeWeights(np.zeros((0, 3)))
         before = F.values[0].copy()
-        update_node(0, g, F, W, FitConfig())
+        assert update_node(0, g, F, W, FitConfig()) is False
         assert np.array_equal(F.values[0], before)
 
     def test_single_neighbor_strictly_improves(self):
@@ -50,8 +54,8 @@ class TestUpdateNode:
         cfg = FitConfig(alpha=0.0)
         st = _node_state(0, g, F, W, cfg)
         before = _local_objectives(st, F.values[0][np.newaxis])[0]
-        new_row = update_node(0, g, F, W, cfg)
-        after = _local_objectives(st, new_row[np.newaxis])[0]
+        assert update_node(0, g, F, W, cfg) is True
+        after = _local_objectives(st, F.values[0][np.newaxis])[0]
         assert after > before
 
     def test_projection_pins_zero_coordinate(self):
@@ -93,7 +97,9 @@ class TestUpdateNode:
                     want = cand
                     break
                 t *= 0.3
-            assert np.allclose(update_node(u, g, F, W, cfg), want, rtol=1e-12, atol=0.0)
+            moved = update_node(u, g, F, W, cfg)
+            assert np.allclose(F.values[u], want, rtol=1e-12, atol=0.0)
+            assert moved == (want is not f_old)
 
     def test_stays_in_bounds(self):
         # The attribute pulls node 0 up by about 0.5 from just under the cap,
@@ -102,9 +108,8 @@ class TestUpdateNode:
         g = build_graph([(0, 1)], [(0, 0)], 2, 1)
         F = AffiliationMatrix([[MAX_MEMBERSHIP - 0.01], [0.0]])
         W = AttributeWeights([[1.0, -1010.0]])
-        row = update_node(0, g, F, W, FitConfig())
-        assert row.tolist() == [MAX_MEMBERSHIP]
-        assert F.values[0, 0] == MAX_MEMBERSHIP
+        assert update_node(0, g, F, W, FitConfig()) is True
+        assert F.values[0].tolist() == [MAX_MEMBERSHIP]
         assert F.column_sums.tolist() == [MAX_MEMBERSHIP]
 
 
@@ -220,6 +225,114 @@ class TestFit:
         recomputed = objective(g, res.F, res.W, cfg)
         assert res.objective_trace[-1] == recomputed
         assert res.F.values.min() >= 0.0 and res.F.values.max() <= MAX_MEMBERSHIP
+
+
+def _recorded_fit(monkeypatch, g, C, cfg, mask=None):
+    """fit, plus each pass's update_node calls as (node, moved) pairs, read
+    through wrappers on the module globals fit calls."""
+    passes = []
+    update_node, objective = solver.update_node, solver.objective
+
+    def counted_update(u, *args):
+        moved = update_node(u, *args)
+        passes[-1].append((u, moved))
+        return moved
+
+    def marked_objective(*args):
+        passes.append([])  # fit scores the start, then the end of every pass
+        return objective(*args)
+
+    monkeypatch.setattr(solver, "update_node", counted_update)
+    monkeypatch.setattr(solver, "objective", marked_objective)
+    result = fit(g, C, cfg, mask)
+    passes = passes[:-1]
+    assert result.nodes_updated == [len(p) for p in passes]
+    return result, passes
+
+
+def _stalled(result, i, tol):
+    """Whether pass i (0-based) improved the objective by less than the
+    stopping threshold."""
+    before, after = (o.scaled_total for o in result.objective_trace[i:i + 2])
+    return after - before < tol * max(abs(before), 1e-12)
+
+
+def _sparse_graph(seed, n=120):
+    """A forest-fire graph on which most rows settle after a few passes."""
+    g = forest_fire(ForestFireParams(n=n, seed=seed))
+    return bernoulli_attributes(g, 4, 0.5, seed=seed)
+
+
+class TestShrinkingPass:
+    def test_full_pass_first_and_every_fourth_once_shrinking(self, monkeypatch):
+        g = _sparse_graph(1)
+        cfg = FitConfig(max_outer_iters=14, rng_seed=1, rel_improvement_tol=0.0)
+        result, passes = _recorded_fit(monkeypatch, g, 3, cfg)
+        n = g.num_nodes
+        assert not any(_stalled(result, i, 0.0) for i in range(result.iterations_run))
+        full = [i for i, calls in enumerate(passes) if len(calls) == n]
+        first_shrunk = min(set(range(len(passes))) - set(full))
+        assert full == list(range(first_shrunk)) + [first_shrunk + 3, first_shrunk + 7]
+        assert [u for u, _ in passes[0]] == list(range(n))
+
+    def test_schedule_and_shrunk_pass_visits_exactly_the_nodes_that_moved(self, monkeypatch):
+        for seed in (1, 2, 3):
+            g = _sparse_graph(seed)
+            cfg = FitConfig(max_outer_iters=40, rng_seed=seed, rel_improvement_tol=1e-6)
+            result, passes = _recorded_fit(monkeypatch, g, 3, cfg)
+            everyone = list(range(g.num_nodes))
+            moved_last = {}
+            shrunk_in_row, skipped = 0, 0
+            for i, calls in enumerate(passes):
+                unsettled = sorted(u for u, m in moved_last.items() if m)
+                if (i == 0 or shrunk_in_row == 3 or 2 * len(unsettled) > g.num_nodes
+                        or (shrunk_in_row and _stalled(result, i - 1, 1e-6))):
+                    assert [u for u, _ in calls] == everyone
+                    shrunk_in_row = 0
+                else:
+                    assert [u for u, _ in calls] == unsettled
+                    shrunk_in_row += 1
+                    skipped += g.num_nodes - len(calls)
+                moved_last.update(calls)
+            assert skipped > 0
+
+    def test_converged_fit_ends_on_full_pass(self, monkeypatch):
+        for seed in (1, 2, 3):
+            g = _sparse_graph(seed)
+            cfg = FitConfig(max_outer_iters=60, rng_seed=seed, rel_improvement_tol=1e-4)
+            result, passes = _recorded_fit(monkeypatch, g, 3, cfg)
+            assert result.converged and result.iterations_run < 60
+            assert len(passes[-1]) == g.num_nodes
+            assert _stalled(result, result.iterations_run - 1, 1e-4)
+
+    def test_stalled_shrunk_pass_is_followed_by_full_pass(self, monkeypatch):
+        g = _sparse_graph(1)
+        cfg = FitConfig(max_outer_iters=60, rng_seed=1, rel_improvement_tol=1e-4)
+        result, passes = _recorded_fit(monkeypatch, g, 3, cfg)
+        stalls = [i for i, calls in enumerate(passes)
+                  if len(calls) < g.num_nodes and _stalled(result, i, 1e-4)]
+        assert stalls
+        for i in stalls:
+            assert len(passes[i + 1]) == g.num_nodes
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(4, 40), C=st.integers(1, 4),
+           p=st.floats(0.02, 0.5), masked=st.booleans())
+    def test_monotone_and_deterministic(self, seed, n, C, p, masked):
+        rng = np.random.default_rng(seed)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        attrs = [(u, k) for u in range(n) for k in range(3) if rng.random() < 0.4]
+        g = build_graph(edges, attrs, n, 3)
+        mask = make_holdout(g, 0.2, seed) if masked else None
+        cfg = FitConfig(max_outer_iters=25, rng_seed=seed, rel_improvement_tol=1e-6)
+        a = fit(g, C, cfg, mask)
+        b = fit(g, C, cfg, mask)
+        totals = [o.scaled_total for o in a.objective_trace]
+        assert all(y >= x - 1e-9 for x, y in zip(totals, totals[1:]))
+        assert a.objective_trace == b.objective_trace
+        assert a.nodes_updated == b.nodes_updated and a.nodes_updated[0] == n
+        assert np.array_equal(a.F.values, b.F.values)
+        assert np.array_equal(a.W.values, b.W.values)
 
 
 class TestThresholdMemberships:
