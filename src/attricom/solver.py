@@ -32,7 +32,8 @@ _FULL_PASS_PERIOD = 4
 @dataclass
 class FitResult:
     """Fitted memberships and weights plus the per-iteration objective trace,
-    wall times and update_node call counts (num_nodes marks a full pass)."""
+    wall times and counts of the nodes each pass updated rather than skipped
+    (num_nodes marks a full pass)."""
 
     F: AffiliationMatrix
     W: AttributeWeights
@@ -44,7 +45,8 @@ class FitResult:
 
 
 def update_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
-                W: AttributeWeights, config: FitConfig, mask=None) -> bool:
+                W: AttributeWeights, config: FitConfig, mask=None,
+                settled=None) -> bool:
     """One backtracking projected-gradient step on node u's membership row.
 
     Accepts the largest step t in _STEPS for which the node-local scaled
@@ -53,8 +55,12 @@ def update_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
     [0, MAX_MEMBERSHIP] per coordinate, and the cached column sums are
     adjusted by the row delta. Returns True when it wrote a new row (the
     objective rose strictly, so the row changed), False when it left the
-    row as it was.
+    row as it was. With `settled` (one bool per node, as a shrunk pass of
+    fit gives it), a node marked settled is skipped: the call returns False
+    at once and touches nothing.
     """
+    if settled is not None and settled[u]:
+        return False
     st = _node_state(u, G, F, W, config, mask)
     f_old = F.values[u].copy()
     g = _grad_from_state(st, f_old)
@@ -161,15 +167,18 @@ def fit(G: AttributedGraph, C: int, config: FitConfig | None = None,
     for it in range(1, config.max_outer_iters + 1):
         tick = time.perf_counter()
         full = since_full == 0 or 2 * np.count_nonzero(settled) < G.num_nodes
-        nodes = range(G.num_nodes) if full else np.flatnonzero(~settled).tolist()
-        for u in nodes:
-            settled[u] = not update_node(u, G, F, W, config, mask)
+        updated = G.num_nodes if full else G.num_nodes - int(np.count_nonzero(settled))
+        # Every node gets an update_node call; on a shrunk pass, the settled
+        # ones return at once. settled[u] is read before it is rewritten.
+        screen = None if full else settled
+        for u in range(G.num_nodes):
+            settled[u] = not update_node(u, G, F, W, config, mask, screen)
         refresh_column_sums(F)  # drop the rounding the per-row adjustments add up
         for k in range(G.num_attrs):
             update_attr_weights(k, G, F, W, config, mask)
         current = objective(G, F, W, config, mask)
         iter_seconds.append(time.perf_counter() - tick)
-        nodes_updated.append(len(nodes))
+        nodes_updated.append(updated)
         previous = trace[-1].scaled_total
         trace.append(current)
         iterations = it

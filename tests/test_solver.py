@@ -58,6 +58,18 @@ class TestUpdateNode:
         after = _local_objectives(st, F.values[0][np.newaxis])[0]
         assert after > before
 
+    def test_settled_node_is_skipped(self):
+        g = build_graph([(0, 1)], [], 2, 0)
+        F = AffiliationMatrix([[0.5], [1.0]])
+        W = AttributeWeights(np.zeros((0, 2)))
+        cfg = FitConfig(alpha=0.0)
+        sums = F.column_sums.copy()
+        assert update_node(0, g, F, W, cfg, None, np.array([True, False])) is False
+        assert F.values.tolist() == [[0.5], [1.0]]
+        assert np.array_equal(F.column_sums, sums)
+        assert update_node(0, g, F, W, cfg, None, np.array([False, True])) is True
+        assert F.values[0, 0] != 0.5
+
     def test_projection_pins_zero_coordinate(self):
         # No edge between the nodes: the gradient is negative everywhere and
         # node 0 sits at zero, so the projected step cannot move it.
@@ -228,24 +240,34 @@ class TestFit:
 
 
 def _recorded_fit(monkeypatch, g, C, cfg, mask=None):
-    """fit, plus each pass's update_node calls as (node, moved) pairs, read
-    through wrappers on the module globals fit calls."""
-    passes = []
+    """fit, plus each pass's node updates as (node, moved) pairs, read
+    through wrappers on the module globals fit calls. Every pass must call
+    update_node once per node in id order; calls that a shrunk pass's
+    settled screen skips are not recorded as updates."""
+    passes, calls = [], []
     update_node, objective = solver.update_node, solver.objective
 
-    def counted_update(u, *args):
-        moved = update_node(u, *args)
-        passes[-1].append((u, moved))
+    def counted_update(u, G, F, W, config, mask=None, settled=None):
+        skipped = settled is not None and bool(settled[u])
+        row = F.values[u].copy()
+        moved = update_node(u, G, F, W, config, mask, settled)
+        calls[-1].append(u)
+        if skipped:
+            assert moved is False and np.array_equal(F.values[u], row)
+        else:
+            passes[-1].append((u, moved))
         return moved
 
     def marked_objective(*args):
         passes.append([])  # fit scores the start, then the end of every pass
+        calls.append([])
         return objective(*args)
 
     monkeypatch.setattr(solver, "update_node", counted_update)
     monkeypatch.setattr(solver, "objective", marked_objective)
     result = fit(g, C, cfg, mask)
     passes = passes[:-1]
+    assert calls[:-1] == [list(range(g.num_nodes))] * result.iterations_run
     assert result.nodes_updated == [len(p) for p in passes]
     return result, passes
 
