@@ -206,7 +206,11 @@ def test_07_near_linear_scaling():
         config = ac.FitConfig(alpha=0.5, lam=1.0, max_outer_iters=3,
                               rel_improvement_tol=0.0, rng_seed=0)
         result = ac.fit(graph, 10, config)
-        measured.append((n, work, min(result.iter_seconds)))
+        # Only full passes update every node; a shrunk pass would time the
+        # attribute pass and the objective instead of the node pass.
+        full = [t for t, k in zip(result.iter_seconds, result.nodes_updated)
+                if k == graph.num_nodes]
+        measured.append((n, work, min(full)))
     ok = True
     details = []
     for (n1, w1, t1), (n2, w2, t2) in zip(measured, measured[1:]):
