@@ -75,28 +75,26 @@ def _edge_log_terms(dots: np.ndarray) -> np.ndarray:
     return np.log(-np.expm1(-np.maximum(dots, MIN_DOT_GUARD)))
 
 
-def log_lik_graph(G: AttributedGraph, F: AffiliationMatrix, mask=None) -> float:
-    """Graph log-likelihood over unordered node pairs.
+def log_lik_graph(G: AttributedGraph, F: AffiliationMatrix) -> float:
+    """Graph log-likelihood over the observed unordered node pairs.
 
     Edge terms are log(1 - exp(-max(F_u . F_v, guard))); the non-edge term
-    sums F_u . F_v through the cached column sums, never by pair enumeration.
-    Pairs in the holdout mask are excluded from both sums.
+    sums F_u . F_v through the cached column sums, never by pair enumeration,
+    less the unobserved pairs.
     """
     V = F.values
     S = F.column_sums
     # sum over unordered pairs u != v of F_u . F_v
     total_pair_dot = 0.5 * (float(S @ S) - float((V * V).sum()))
 
-    edges = G.edges
-    masked_dot_sum = 0.0
-    if mask is not None:
-        # Drop masked pairs from the edge enumeration and account for all of
-        # them against the pair total in one canonical order, so the result
-        # is bit-identical no matter which masked pairs happen to be edges.
-        edges = mask.training_graph.edges
-        dots = np.einsum("ij,ij->i", V[mask.pair_u], V[mask.pair_v])
-        masked_dot_sum = float(dots.sum())
+    # Unobserved pairs are never edges of G; all of them are accounted for
+    # against the pair total in one canonical order, so the result is
+    # bit-identical no matter which of them are edges of the full data.
+    hidden = G.unobserved_pairs
+    dots = np.einsum("ij,ij->i", V[hidden[:, 0]], V[hidden[:, 1]])
+    hidden_dot_sum = float(dots.sum())
 
+    edges = G.edges
     ll_edges = 0.0
     edge_dot_sum = 0.0
     for start in range(0, edges.shape[0], _EDGE_CHUNK):
@@ -105,16 +103,14 @@ def log_lik_graph(G: AttributedGraph, F: AffiliationMatrix, mask=None) -> float:
         edge_dot_sum += float(dots.sum())
         ll_edges += float(_edge_log_terms(dots).sum())
 
-    nonedge_dot = total_pair_dot - edge_dot_sum - masked_dot_sum
+    nonedge_dot = total_pair_dot - edge_dot_sum - hidden_dot_sum
     return ll_edges - nonedge_dot
 
 
-def log_lik_attr(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights,
-                 mask=None) -> float:
+def log_lik_attr(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights) -> float:
     """Bernoulli log-likelihood of all observed node-attribute cells.
 
-    Probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] before logs;
-    masked (node, attr) cells are excluded.
+    Probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] before logs.
     """
     K = G.num_attrs
     if K == 0:
@@ -124,14 +120,12 @@ def log_lik_attr(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights,
     w_bias = W.values[:, -1]
     pairs = G.attr_pairs
 
+    # Unobserved cells are never present in G; their absent-cell terms are
+    # removed in one canonical order, for the reason given in log_lik_graph.
+    hidden_u, hidden_k = G.unobserved_cells.T
+    z = np.einsum("ij,ij->i", V[hidden_u], w_head[hidden_k]) + w_bias[hidden_k]
     ll = 0.0
-    if mask is not None:
-        # Keep masked cells out of the present-pair corrections and remove
-        # their absent-cell contribution in one canonical order; see
-        # log_lik_graph for why this must not be a post-hoc adjustment.
-        pairs = mask.training_graph.attr_pairs
-        z = np.einsum("ij,ij->i", V[mask.attr_u], w_head[mask.attr_k]) + w_bias[mask.attr_k]
-        ll -= float(_log_1q(z).sum())
+    ll -= float(_log_1q(z).sum())
 
     rows_per_chunk = max(1, _ATTR_CELL_CHUNK // K)
     p = 0  # cursor into pairs, which are sorted by node id
@@ -165,42 +159,26 @@ class _NodeState:
         self.alpha = alpha
 
 
-def _row(csr, u: int) -> np.ndarray:
-    indptr, indices = csr
-    return indices[indptr[u]:indptr[u + 1]]
-
-
 def _node_state(u: int, G: AttributedGraph, F: AffiliationMatrix,
-                W: AttributeWeights, config: FitConfig, mask=None) -> _NodeState:
+                W: AttributeWeights, config: FitConfig) -> _NodeState:
     V = F.values
-    if mask is None:
-        f_nbrs = V[G.neighbors(u)]
-        s_minus = F.column_sums - V[u] - f_nbrs.sum(axis=0)
+    f_nbrs = f_excluded = V[G.neighbors(u)]
+    w_head = W.values[:, :-1]
+    w_bias = W.values[:, -1]
+    hidden = G.unobserved_index(u)
+    if hidden is None:
+        x_idx = G.node_attr_ids(u)
     else:
-        # Neighbors and masked partners leave the non-neighbor sum together,
-        # in one sorted pass, so the arithmetic does not depend on which
-        # masked pairs happen to be edges.
-        f_nbrs = V[mask.training_graph.neighbors(u)]
-        excluded = _row(mask.excluded, u)
-        f_excluded = V[excluded] if len(excluded) > len(f_nbrs) else f_nbrs
-        s_minus = F.column_sums - V[u] - f_excluded.sum(axis=0)
-
-    K = G.num_attrs
-    if K:
-        w_head = W.values[:, :-1]
-        w_bias = W.values[:, -1]
-        if mask is None:
-            x_idx = G.node_attr_ids(u)
-        else:
-            x_idx = _row(mask.present_attrs, u)
-            kept = _row(mask.kept_attrs, u)
-            if len(kept) < K:
-                w_head = w_head[kept]
-                w_bias = w_bias[kept]
-    else:
-        w_head = np.zeros((0, F.num_communities))
-        w_bias = np.zeros(0)
-        x_idx = np.zeros(0, dtype=np.int64)
+        # Neighbors and unobserved partners leave the non-neighbor sum
+        # together, in one sorted pass, so the arithmetic does not depend on
+        # which unobserved pairs are edges of the full data.
+        partners, kept, x_idx = hidden
+        if len(partners) > len(f_nbrs):
+            f_excluded = V[partners]
+        if len(kept) < G.num_attrs:
+            w_head = w_head[kept]
+            w_bias = w_bias[kept]
+    s_minus = F.column_sums - V[u] - f_excluded.sum(axis=0)
 
     return _NodeState(f_nbrs, s_minus, w_head, w_bias, x_idx, config.alpha)
 
@@ -245,19 +223,19 @@ def _local_objectives(st: _NodeState, rows: np.ndarray) -> np.ndarray:
 
 
 def grad_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
-              W: AttributeWeights, config: FitConfig, mask=None) -> np.ndarray:
+              W: AttributeWeights, config: FitConfig) -> np.ndarray:
     """Gradient of the alpha-scaled objective with respect to node u's row.
 
     The non-neighbor part runs in O(degree(u) * C) through the cached column
     sums; the attribute part excludes the bias column, which is not a
     coordinate of the membership row.
     """
-    st = _node_state(u, G, F, W, config, mask)
+    st = _node_state(u, G, F, W, config)
     return _grad_from_state(st, F.values[u])
 
 
 def grad_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
-                      W: AttributeWeights, mask=None) -> np.ndarray:
+                      W: AttributeWeights) -> np.ndarray:
     """Data gradient of attribute k's logistic weights (bias input is 1).
 
     The l1 subgradient is not included here; the solver applies it.
@@ -267,8 +245,7 @@ def grad_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
     z = V @ w[:-1] + w[-1]
     resid = -_sigmoid(z)
     resid[G.attr_node_ids(k)] += 1.0
-    if mask is not None:
-        resid[_row(mask.masked_nodes, k)] = 0.0
+    resid[G.unobserved_nodes(k)] = 0.0
     g = np.empty(w.shape[0])
     g[:-1] = V.T @ resid
     g[-1] = float(resid.sum())
@@ -276,10 +253,10 @@ def grad_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
 
 
 def objective(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights,
-              config: FitConfig, mask=None) -> ObjectiveValue:
+              config: FitConfig) -> ObjectiveValue:
     """Assemble graph, attribute and l1 parts into the scaled fitting objective."""
-    lg = log_lik_graph(G, F, mask)
-    lx = log_lik_attr(G, F, W, mask)
+    lg = log_lik_graph(G, F)
+    lx = log_lik_attr(G, F, W)
     l1 = float(config.lam * np.abs(W.values[:, :-1]).sum())
     total = (1.0 - config.alpha) * lg + config.alpha * lx - l1
     return ObjectiveValue(lg, lx, l1, total)

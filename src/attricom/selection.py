@@ -1,10 +1,8 @@
 """Held-out likelihood machinery for choosing the number of communities.
 
-A HoldoutMask reserves node pairs and node-attribute cells of one graph and
-holds, as plain arrays built once, everything a masked fit reads: the graph
-without the reserved pairs, each node's excluded and kept sets, and each
-attribute's masked nodes. make_holdout draws a mask; holdout_loglik scores a
-fit on it.
+A HoldoutMask reserves node pairs and node-attribute cells of one graph; its
+training graph is that graph with the reserved entries unobserved, which is
+all a fit needs. make_holdout draws a mask; holdout_loglik scores a fit on it.
 """
 
 from __future__ import annotations
@@ -12,35 +10,21 @@ from __future__ import annotations
 import numpy as np
 
 from . import solver
-from .core import AttributedGraph, FitConfig, _csr, contains, pair_keys
+from .core import AttributedGraph, FitConfig, contains, pair_keys
 from .likelihood import PROB_CLAMP, _edge_log_terms, _sigmoid
 
 _SMALL_N = 2000
 _DENSE_ATTR_LIMIT = 5_000_000
 
 
-def _sorted_distinct(keys: np.ndarray, what: str) -> np.ndarray:
-    """keys sorted; a key that occurs twice raises ValueError."""
-    keys = np.sort(keys)
-    if (keys[1:] == keys[:-1]).any():
-        raise ValueError(f"duplicate {what} in holdout mask")
-    return keys
-
-
 class HoldoutMask:
-    """Node pairs (u < v) and (node, attribute) cells of G excluded from training.
+    """Node pairs (u < v) and (node, attribute) cells of a graph excluded from training.
 
     pair_u, pair_v, attr_u and attr_k list the reserved pairs and cells, none
-    twice; pair_obs and attr_obs are their observed values in G. The mask
-    belongs to G and precomputes, as arrays:
-
-    - training_graph: G without the reserved edges and attribute cells;
-    - excluded: CSR (indptr, indices) of each node's training neighbors and
-      masked partners together, sorted;
-    - kept_attrs: CSR of each node's attribute ids outside the mask;
-    - present_attrs: CSR of each node's training attributes, as positions
-      among its kept ids;
-    - masked_nodes: CSR of each attribute's masked node ids.
+    twice; pair_obs and attr_obs are their observed values in graph, the
+    graph the mask was made for. training_graph is graph without the
+    reserved edges and attribute cells, with the reserved pairs and cells as
+    its unobserved entries; fit(graph, C, config, mask) fits it.
     """
 
     def __init__(self, G: AttributedGraph, pair_u, pair_v, attr_u, attr_k):
@@ -53,36 +37,21 @@ class HoldoutMask:
             raise ValueError(f"node pairs must satisfy 0 <= u < v < {n}")
         if len(au) and (au.min() < 0 or au.max() >= n or ak.min() < 0 or ak.max() >= K):
             raise ValueError(f"attribute pairs must satisfy 0 <= u < {n}, 0 <= k < {K}")
+        self.graph = G
         self.pair_u, self.pair_v, self.attr_u, self.attr_k = pu, pv, au, ak
 
         mask_keys = pair_keys(pu, pv, n)
         cell_keys = pair_keys(au, ak, K)
-        sorted_mask = _sorted_distinct(mask_keys, "node pair")
-        sorted_cells = _sorted_distinct(cell_keys, "attribute pair")
         edge_keys = pair_keys(G.edges[:, 0], G.edges[:, 1], n)
         present_keys = pair_keys(G.attr_pairs[:, 0], G.attr_pairs[:, 1], K)
         self.pair_obs = contains(np.sort(edge_keys), mask_keys).astype(np.uint8)
         self.attr_obs = contains(np.sort(present_keys), cell_keys).astype(np.uint8)
-        train_edges = ~contains(sorted_mask, edge_keys)
-        train_attrs = ~contains(sorted_cells, present_keys)
-        self.training_graph = AttributedGraph(n, K, G.edges[train_edges],
-                                              G.attr_pairs[train_attrs])
-
-        # Training neighbors and masked partners are disjoint, so together
-        # they list each excluded node once.
-        e = self.training_graph.edges
-        self.excluded = _csr(np.concatenate([e[:, 0], e[:, 1], pu, pv]),
-                             np.concatenate([e[:, 1], e[:, 0], pv, pu]), n)
-        keep = np.ones(n * K, dtype=bool)
-        keep[sorted_cells] = False
-        kept = np.flatnonzero(keep)  # keys u * K + k of the unmasked cells
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(keep.reshape(n, K).sum(axis=1), out=indptr[1:])
-        self.kept_attrs = (indptr, kept % K)
-        train_u = G.attr_pairs[train_attrs, 0]
-        self.present_attrs = _csr(
-            train_u, np.searchsorted(kept, present_keys[train_attrs]) - indptr[train_u], n)
-        self.masked_nodes = _csr(ak, au, max(K, 1))
+        train_edges = ~contains(np.sort(mask_keys), edge_keys)
+        train_attrs = ~contains(np.sort(cell_keys), present_keys)
+        self.training_graph = AttributedGraph(
+            n, K, G.edges[train_edges], G.attr_pairs[train_attrs],
+            unobserved_pairs=np.column_stack([pu, pv]),
+            unobserved_cells=np.column_stack([au, ak]))
 
 
 def _draw_distinct(rng, count: int, high: int, canonical=None) -> np.ndarray:

@@ -14,8 +14,8 @@ from .core import (MAX_MEMBERSHIP, AffiliationMatrix, AttributedGraph,
                    AttributeWeights, CommunityCover, FitConfig,
                    refresh_column_sums)
 from .likelihood import (ObjectiveValue, _grad_from_state, _local_objectives,
-                         _log_1q, _log_q, _node_state, _row,
-                         grad_attr_weights, objective)
+                         _log_1q, _log_q, _node_state, grad_attr_weights,
+                         objective)
 from .seeding import init_affiliations
 
 # Backtracking line search of every block update: trial steps 0.3**i for
@@ -45,8 +45,7 @@ class FitResult:
 
 
 def update_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
-                W: AttributeWeights, config: FitConfig, mask=None,
-                settled=None) -> bool:
+                W: AttributeWeights, config: FitConfig, settled=None) -> bool:
     """One backtracking projected-gradient step on node u's membership row.
 
     Accepts the largest step t in _STEPS for which the node-local scaled
@@ -61,7 +60,7 @@ def update_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
     """
     if settled is not None and settled[u]:
         return False
-    st = _node_state(u, G, F, W, config, mask)
+    st = _node_state(u, G, F, W, config)
     f_old = F.values[u].copy()
     g = _grad_from_state(st, f_old)
     g_norm2 = float(g @ g)
@@ -89,21 +88,19 @@ def update_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
     return True
 
 
-def _attr_objective(k, G, F, w, config, mask):
-    """alpha-scaled Bernoulli log-likelihood of attribute k minus its l1 cost."""
+def _attr_objective(k, G, F, w, config):
+    """alpha-scaled log-likelihood of attribute k's observed cells minus its l1 cost."""
     z = F.values @ w[:-1] + w[-1]
     terms = _log_1q(z)
     ones = G.attr_node_ids(k)
     if len(ones):
         terms[ones] = _log_q(z[ones])
-    if mask is not None:
-        terms[_row(mask.masked_nodes, k)] = 0.0
+    terms[G.unobserved_nodes(k)] = 0.0
     return config.alpha * float(terms.sum()) - config.lam * float(np.abs(w[:-1]).sum())
 
 
 def update_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
-                        W: AttributeWeights, config: FitConfig,
-                        mask=None) -> np.ndarray:
+                        W: AttributeWeights, config: FitConfig) -> np.ndarray:
     """One backtracking subgradient step on attribute k's logistic weights.
 
     The ascent direction is alpha * data-gradient minus lam * sign(w) on the
@@ -111,16 +108,16 @@ def update_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
     and shrinks exactly as update_node, on the per-attribute objective.
     """
     w_old = W.values[k].copy()
-    d = config.alpha * grad_attr_weights(k, G, F, W, mask)
+    d = config.alpha * grad_attr_weights(k, G, F, W)
     d[:-1] -= config.lam * np.sign(w_old[:-1])
     d_norm2 = float(d @ d)
     if d_norm2 == 0.0:
         return w_old
 
-    base = _attr_objective(k, G, F, w_old, config, mask)
+    base = _attr_objective(k, G, F, w_old, config)
     for t in _STEPS:
         cand = w_old + t * d
-        if _attr_objective(k, G, F, cand, config, mask) - base >= _ARMIJO * t * d_norm2:
+        if _attr_objective(k, G, F, cand, config) - base >= _ARMIJO * t * d_norm2:
             W.values[k] = cand
             return cand
     return w_old
@@ -144,21 +141,23 @@ def fit(G: AttributedGraph, C: int, config: FitConfig | None = None,
     than that stops the fit as converged. max_outer_iters counts every pass,
     so a fit capped by it does less node work than the full-pass method and
     may end at a slightly different, often lower, objective. Skipping a node
-    leaves its block as it is, so the trace still never falls. With a holdout mask, masked pairs
-    are excluded from initialization, gradients and the reported objective
-    alike.
+    leaves its block as it is, so the trace still never falls. With a
+    selection.HoldoutMask made for G, it fits mask.training_graph instead.
     """
     if C < 1:
         raise ValueError("community count must be >= 1")
     if config is None:
         config = FitConfig()
+    if mask is not None:
+        if mask.graph is not G:
+            raise ValueError("holdout mask was made for another graph")
+        G = mask.training_graph
 
-    G_init = mask.training_graph if mask is not None else G
-    F = init_affiliations(G_init, C, config.rng_seed)
+    F = init_affiliations(G, C, config.rng_seed)
     W = AttributeWeights(np.zeros((G.num_attrs, C + 1)))
     refresh_column_sums(F)
 
-    trace = [objective(G, F, W, config, mask)]
+    trace = [objective(G, F, W, config)]
     iter_seconds: list[float] = []
     nodes_updated: list[int] = []
     converged = False
@@ -177,11 +176,11 @@ def fit(G: AttributedGraph, C: int, config: FitConfig | None = None,
         # before it is rewritten.
         screen = None if full else settled
         for u in range(G.num_nodes):
-            settled[u] = not update_node(u, G, F, W, config, mask, screen)
+            settled[u] = not update_node(u, G, F, W, config, screen)
         refresh_column_sums(F)  # drop the rounding the per-row adjustments add up
         for k in range(G.num_attrs):
-            update_attr_weights(k, G, F, W, config, mask)
-        current = objective(G, F, W, config, mask)
+            update_attr_weights(k, G, F, W, config)
+        current = objective(G, F, W, config)
         iter_seconds.append(time.perf_counter() - tick)
         nodes_updated.append(updated)
         previous = trace[-1].scaled_total
@@ -209,9 +208,9 @@ def threshold_memberships(F: AffiliationMatrix, delta: float | None = None) -> C
     """Binarize memberships at delta (default: the 1/N edge-probability cutoff).
 
     Node u joins community c iff F[u, c] >= delta, so delta must be > 0: at
-    zero every node would join every community. Empty communities are
-    dropped and identical member sets deduplicated; the cover is ordered by
-    descending size, then ascending member ids, for deterministic output.
+    zero every node would join every community. The cover is ordered by
+    descending size, then ascending member ids, for deterministic output;
+    CommunityCover drops empty and repeated member sets.
     """
     n = F.num_nodes
     if delta is None:
@@ -221,17 +220,10 @@ def threshold_memberships(F: AffiliationMatrix, delta: float | None = None) -> C
     elif delta <= 0.0:
         raise ValueError("delta override must be > 0")
 
-    seen = set()
-    communities = []
     member = F.values >= delta
-    for c in range(F.num_communities):
-        ids = frozenset(int(x) for x in np.flatnonzero(member[:, c]))
-        if not ids or ids in seen:
-            continue
-        seen.add(ids)
-        communities.append(ids)
-    communities.sort(key=lambda s: (-len(s), tuple(sorted(s))))
-    return CommunityCover(communities, n)
+    columns = [np.flatnonzero(member[:, c]) for c in range(F.num_communities)]
+    columns.sort(key=lambda ids: (-len(ids), ids.tolist()))
+    return CommunityCover(columns, n)
 
 
 def rank_attributes(W: AttributeWeights) -> list[tuple[int, float]]:

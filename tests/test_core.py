@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import attricom
-from attricom import (AffiliationMatrix, AttributeWeights, CommunityCover,
-                      FitConfig, GraphBuildError, MAX_MEMBERSHIP, build_graph,
-                      refresh_column_sums)
+from attricom import (AffiliationMatrix, AttributedGraph, AttributeWeights,
+                      CommunityCover, FitConfig, GraphBuildError, MAX_MEMBERSHIP,
+                      build_graph, refresh_column_sums)
 
 
 class TestBuildGraph:
@@ -64,6 +64,31 @@ class TestBuildGraph:
                 for v in nbrs:
                     assert g.has_edge(int(v), u)
             assert total == 2 * g.num_edges
+
+
+class TestUnobservedEntries:
+    def test_invalid_entries_rejected(self):
+        # Edge (0, 1) and attribute cell (0, 0) are stored as observed.
+        bad = [dict(unobserved_pairs=[(0, 5)]),            # v beyond the graph
+               dict(unobserved_pairs=[(-1, 2)]),           # negative u
+               dict(unobserved_pairs=[(2, 2)]),            # u == v
+               dict(unobserved_pairs=[(3, 2)]),            # u > v
+               dict(unobserved_pairs=[(1, 2), (1, 2)]),    # repeated
+               dict(unobserved_pairs=[(2, 3), (0, 1)]),    # an edge
+               dict(unobserved_cells=[(4, 0)]),            # node beyond the graph
+               dict(unobserved_cells=[(1, 2)]),            # attribute beyond the graph
+               dict(unobserved_cells=[(1, -1)]),           # negative attribute
+               dict(unobserved_cells=[(2, 1), (2, 1)]),    # repeated
+               dict(unobserved_cells=[(1, 1), (0, 0)])]    # present
+        for kwargs in bad:
+            with pytest.raises(ValueError):
+                AttributedGraph(4, 2, [(0, 1)], [(0, 0)], **kwargs)
+        g = AttributedGraph(4, 2, [(0, 1)], [(0, 0)], unobserved_pairs=[(2, 3), (0, 2)],
+                            unobserved_cells=[(1, 1), (0, 1)])
+        assert g.unobserved_pairs.tolist() == [[2, 3], [0, 2]]  # in the order given
+        assert g.unobserved_cells.tolist() == [[1, 1], [0, 1]]
+        assert g.unobserved_index(3)[0].tolist() == [2]
+        assert g.unobserved_nodes(1).tolist() == [0, 1]
 
 
 class TestAffiliationMatrix:

@@ -220,15 +220,16 @@ class TestMaskedMatchesOracles:
             pairs = {(int(u), int(v)) for u, v in zip(mask.pair_u, mask.pair_v)}
             cells = {(int(u), int(a)) for u, a in zip(mask.attr_u, mask.attr_k)}
             assert pairs and cells
+            train = mask.training_graph
 
-            assert log_lik_graph(G, F, mask) == pytest.approx(
+            assert log_lik_graph(train, F) == pytest.approx(
                 naive_log_lik_graph(G, F, masked=pairs), abs=1e-9)
-            assert log_lik_attr(G, F, W, mask) == pytest.approx(
+            assert log_lik_attr(train, F, W) == pytest.approx(
                 naive_log_lik_attr(G, F, W, masked=cells), abs=1e-9)
             for u in range(n):
                 slow = naive_grad_node(u, G, F, W, cfg.alpha, masked_pairs=pairs,
                                        masked_attrs=cells)
-                assert np.allclose(grad_node(u, G, F, W, cfg, mask), slow, atol=1e-9)
+                assert np.allclose(grad_node(u, train, F, W, cfg), slow, atol=1e-9)
             for a in range(k):
                 slow = naive_grad_attr_weights(a, G, F, W, masked=cells)
-                assert np.allclose(grad_attr_weights(a, G, F, W, mask), slow, atol=1e-9)
+                assert np.allclose(grad_attr_weights(a, train, F, W), slow, atol=1e-9)

@@ -15,9 +15,13 @@ def _empty_mask(g):
     return HoldoutMask(g, z, z, z, z)
 
 
-def _row(csr, i):
-    indptr, indices = csr
-    return indices[indptr[i]:indptr[i + 1]].tolist()
+def _index(g, u):
+    """Node u's neighbors and unobserved partners, observed attribute ids and
+    the positions among them of its present attributes, as lists."""
+    index = g.unobserved_index(u)
+    if index is None:
+        return g.neighbors(u).tolist(), list(range(g.num_attrs)), g.node_attr_ids(u).tolist()
+    return [a.tolist() for a in index]
 
 
 def _random_edges(rng, n, m):
@@ -87,22 +91,20 @@ class TestMakeHoldout:
             partners = sorted([b for a, b in pairs if a == u] + [a for a, b in pairs if b == u])
             nbrs = g.neighbors(u).tolist()
             assert train.neighbors(u).tolist() == [v for v in nbrs if v not in partners]
-            assert _row(mask.excluded, u) == sorted(set(nbrs) | set(partners))
+            excluded, kept_ids, present = _index(train, u)
+            assert excluded == sorted(set(nbrs) | set(partners))
             masked = [k for w, k in cells if w == u]
             kept = [k for k in range(g.num_attrs) if k not in masked]
-            assert _row(mask.kept_attrs, u) == kept
-            assert _row(mask.present_attrs, u) == [kept.index(k) for k in g.node_attr_ids(u)
-                                                   if k not in masked]
+            assert kept_ids == kept
+            assert present == [kept.index(k) for k in g.node_attr_ids(u) if k not in masked]
         for k in range(g.num_attrs):
-            assert _row(mask.masked_nodes, k) == sorted(u for u, j in cells if j == k)
-        empty = _empty_mask(g)
-        assert np.array_equal(empty.training_graph.edges, g.edges)
-        assert np.array_equal(empty.training_graph.attr_pairs, g.attr_pairs)
+            assert train.unobserved_nodes(k).tolist() == sorted(u for u, j in cells if j == k)
+        empty = _empty_mask(g).training_graph
+        assert np.array_equal(empty.edges, g.edges)
+        assert np.array_equal(empty.attr_pairs, g.attr_pairs)
         for u in range(g.num_nodes):
-            assert _row(empty.excluded, u) == g.neighbors(u).tolist()
-            assert _row(empty.kept_attrs, u) == list(range(g.num_attrs))
-            assert _row(empty.present_attrs, u) == g.node_attr_ids(u).tolist()
-        assert all(_row(empty.masked_nodes, k) == [] for k in range(g.num_attrs))
+            assert empty.unobserved_index(u) is None
+        assert all(empty.unobserved_nodes(k).tolist() == [] for k in range(g.num_attrs))
 
     def test_duplicate_pairs_rejected(self):
         g = build_graph([(0, 1)], [(0, 0)], 3, 2)

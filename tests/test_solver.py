@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import attricom.solver as solver
 from attricom import (MAX_MEMBERSHIP, AffiliationMatrix, AttributeWeights,
-                      CommunityCover, FitConfig, ForestFireParams, SimilarityKind,
-                      bernoulli_attributes, build_graph,
+                      CommunityCover, FitConfig, ForestFireParams, HoldoutMask,
+                      SimilarityKind, bernoulli_attributes, build_graph,
                       default_threshold, edge_prob, fit, forest_fire, grad_node,
                       init_affiliations, make_holdout, match_score, rank_attributes,
                       refresh_column_sums, threshold_memberships,
@@ -64,10 +64,10 @@ class TestUpdateNode:
         W = AttributeWeights(np.zeros((0, 2)))
         cfg = FitConfig(alpha=0.0)
         sums = F.column_sums.copy()
-        assert update_node(0, g, F, W, cfg, None, np.array([True, False])) is False
+        assert update_node(0, g, F, W, cfg, np.array([True, False])) is False
         assert F.values.tolist() == [[0.5], [1.0]]
         assert np.array_equal(F.column_sums, sums)
-        assert update_node(0, g, F, W, cfg, None, np.array([False, True])) is True
+        assert update_node(0, g, F, W, cfg, np.array([False, True])) is True
         assert F.values[0, 0] != 0.5
 
     def test_projection_pins_zero_coordinate(self):
@@ -166,7 +166,7 @@ class TestUpdateAttrWeights:
         W = AttributeWeights(rng.uniform(-1, 1, size=(2, 3)))
         cfg = FitConfig(lam=0.8, alpha=0.6)
         for k in range(2):
-            got = _attr_objective(k, g, F, W.values[k], cfg, None)
+            got = _attr_objective(k, g, F, W.values[k], cfg)
             per_attr = sum(
                 (math.log if g.has_attr(u, k) else (lambda q: math.log(1 - q)))(
                     min(max(1 / (1 + math.exp(-(float(W.values[k][:-1] @ F.values[u])
@@ -247,10 +247,10 @@ def _recorded_fit(monkeypatch, g, C, cfg, mask=None):
     passes, calls = [], []
     update_node, objective = solver.update_node, solver.objective
 
-    def counted_update(u, G, F, W, config, mask=None, settled=None):
+    def counted_update(u, G, F, W, config, settled=None):
         skipped = settled is not None and bool(settled[u])
         row = F.values[u].copy()
-        moved = update_node(u, G, F, W, config, mask, settled)
+        moved = update_node(u, G, F, W, config, settled)
         calls[-1].append(u)
         if skipped:
             assert moved is False and np.array_equal(F.values[u], row)
@@ -357,6 +357,30 @@ class TestShrinkingPass:
         assert np.array_equal(a.W.values, b.W.values)
 
 
+class TestHoldoutFit:
+    def test_empty_mask_fit_is_the_whole_fit(self):
+        rng = np.random.default_rng(11)
+        g = _planted_like(rng, n=25, c=2, k=3)
+        z = np.zeros(0, dtype=np.int64)
+        cfg = FitConfig(max_outer_iters=20, rng_seed=4)
+        whole = fit(g, 3, cfg)
+        empty = fit(g, 3, cfg, mask=HoldoutMask(g, z, z, z, z))
+        assert np.array_equal(whole.F.values, empty.F.values)
+        assert np.array_equal(whole.W.values, empty.W.values)
+        assert whole.objective_trace == empty.objective_trace
+        assert whole.nodes_updated == empty.nodes_updated
+
+    def test_mask_of_another_graph_rejected(self):
+        rng = np.random.default_rng(12)
+        g = _planted_like(rng, n=20)
+        same_size = _planted_like(rng, n=20)
+        other_size = _planted_like(rng, n=24)
+        for other in (same_size, other_size):
+            with pytest.raises(ValueError, match="another graph"):
+                fit(g, 2, FitConfig(max_outer_iters=2), mask=make_holdout(other, 0.2, 0))
+        fit(g, 2, FitConfig(max_outer_iters=2), mask=make_holdout(g, 0.2, 0))
+
+
 class TestThresholdMemberships:
     def test_default_threshold_values(self):
         assert default_threshold(2) == pytest.approx(math.sqrt(math.log(2)), abs=1e-12)
@@ -376,6 +400,13 @@ class TestThresholdMemberships:
         cover = threshold_memberships(F)
         assert len(cover) == 1
         assert sorted(next(iter(cover))) == [0, 1]
+        # Columns in ascending size, with an empty one, a tie and a repeat:
+        # descending size, then ascending ids, each set once.
+        F = AffiliationMatrix([[0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0],
+                               [0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0],
+                               [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0]])
+        cover = threshold_memberships(F)
+        assert [sorted(c) for c in cover] == [[0, 1, 2], [0, 1], [1, 2], [0], [1]]
 
     def test_delta_override(self):
         F = AffiliationMatrix([[0.5], [0.2]])
