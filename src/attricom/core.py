@@ -51,20 +51,23 @@ class AttributedGraph:
     """Undirected simple graph plus sparse binary node attributes.
 
     Node ids are exactly 0..num_nodes-1 and attribute ids 0..num_attrs-1.
-    Only (node, attr) pairs with value 1 are stored. Every other node pair
-    and cell is an observed zero, except the distinct pairs (u < v) of
-    unobserved_pairs and (node, attr) cells of unobserved_cells, which the
-    likelihood and the fit leave out, in the order given (a held-out fit;
-    see selection.HoldoutMask). Instances are immutable after construction.
+    Edges (u < v) and the (node, attr) pairs with value 1 are stored sorted;
+    a repeated one raises ValueError. Every other node pair and cell is an
+    observed zero, except the distinct pairs (u < v) of unobserved_pairs and
+    (node, attr) cells of unobserved_cells, which the likelihood and the fit
+    leave out (a held-out fit; see selection.HoldoutMask). Those are kept in
+    the order given, and indexed per node (unobserved_of) and per attribute
+    (unobserved_nodes); for a whole graph the indexes are empty. Instances
+    are immutable after construction.
     """
 
     def __init__(self, num_nodes, num_attrs, edges, attr_pairs, diagnostics=None, *,
                  unobserved_pairs=(), unobserved_cells=()):
-        self.num_nodes = int(num_nodes)
-        self.num_attrs = int(num_attrs)
-        if self.num_nodes < 1:
+        self.num_nodes = n = int(num_nodes)
+        self.num_attrs = K = int(num_attrs)
+        if n < 1:
             raise ValueError("graph must have at least one node")
-        if self.num_attrs < 0:
+        if K < 0:
             raise ValueError("attribute count must be >= 0")
 
         edges, attr_pairs, hidden_pairs, hidden_cells = (
@@ -72,69 +75,49 @@ class AttributedGraph:
             for a in (edges, attr_pairs, unobserved_pairs, unobserved_cells))
         for what, pairs in (("edge", edges), ("unobserved pair", hidden_pairs)):
             if pairs.size:
-                if pairs.min() < 0 or pairs.max() >= self.num_nodes:
+                if pairs.min() < 0 or pairs.max() >= n:
                     raise ValueError(f"{what} endpoint out of range")
                 if not (pairs[:, 0] < pairs[:, 1]).all():
                     raise ValueError(f"{what}s must be canonical (u < v, no self-loops)")
         for what, cells in (("attribute pair", attr_pairs), ("unobserved cell", hidden_cells)):
             if cells.size:
-                if cells[:, 0].min() < 0 or cells[:, 0].max() >= self.num_nodes:
+                if cells[:, 0].min() < 0 or cells[:, 0].max() >= n:
                     raise ValueError(f"{what} node id out of range")
-                if cells[:, 1].min() < 0 or cells[:, 1].max() >= self.num_attrs:
+                if cells[:, 1].min() < 0 or cells[:, 1].max() >= K:
                     raise ValueError(f"{what} attribute id out of range")
 
-        self._edges = edges
-        self._attr_pairs = attr_pairs
+        self._edges = _unique_pairs(edges, n)
+        self._attr_pairs = _unique_pairs(attr_pairs, K)
+        if len(self._edges) < len(edges) or len(self._attr_pairs) < len(attr_pairs):
+            raise ValueError("edges and attribute pairs must be distinct")
+        for what, stored, hidden, width in (
+                ("pairs must be distinct non-edges", self._edges, hidden_pairs, n),
+                ("cells must be distinct and absent", self._attr_pairs, hidden_cells, K)):
+            keys = distinct_keys(pair_keys(hidden[:, 0], hidden[:, 1], width))
+            if (len(keys) < len(hidden)
+                    or contains(keys, pair_keys(stored[:, 0], stored[:, 1], width)).any()):
+                raise ValueError(f"unobserved {what}")
         self.unobserved_pairs = hidden_pairs
         self.unobserved_cells = hidden_cells
-        heads = np.concatenate([edges[:, 0], edges[:, 1]])
-        tails = np.concatenate([edges[:, 1], edges[:, 0]])
-        self._adj_indptr, self._adj_indices = _csr(heads, tails, self.num_nodes)
-        self._na_indptr, self._na_indices = _csr(
-            attr_pairs[:, 0], attr_pairs[:, 1], self.num_nodes
-        )
-        self._an_indptr, self._an_indices = _csr(
-            attr_pairs[:, 1], attr_pairs[:, 0], max(self.num_attrs, 1)
-        )
+
+        e, (pu, pv), (cu, ck) = self._edges, hidden_pairs.T, hidden_cells.T
+        self._adj_indptr, self._adj_indices = _csr(
+            np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]), n)
+        self._na_indptr, self._na_indices = _csr(self._attr_pairs[:, 0], self._attr_pairs[:, 1], n)
+        self._an_indptr, self._an_indices = _csr(self._attr_pairs[:, 1], self._attr_pairs[:, 0],
+                                                 max(K, 1))
+        self._partner_indptr, self._partners = _csr(
+            np.concatenate([pu, pv]), np.concatenate([pv, pu]), n)
+        self._hidden_attr_indptr, self._hidden_attrs = _csr(cu, ck, n)
+        self._unobserved_indptr, self._unobserved_nodes = _csr(ck, cu, max(K, 1))
         self.degrees = np.diff(self._adj_indptr)
         self.diagnostics = diagnostics if diagnostics is not None else BuildDiagnostics()
         for arr in (self._edges, self._attr_pairs, self._adj_indptr, self._adj_indices,
-                    self._na_indptr, self._na_indices, self._an_indptr,
-                    self._an_indices, self.degrees, hidden_pairs, hidden_cells):
+                    self._na_indptr, self._na_indices, self._an_indptr, self._an_indices,
+                    self._partner_indptr, self._partners, self._hidden_attr_indptr,
+                    self._hidden_attrs, self._unobserved_indptr, self._unobserved_nodes,
+                    self.degrees, hidden_pairs, hidden_cells):
             arr.setflags(write=False)
-        self._hidden = None  # per node: whether some pair or cell of it is unobserved
-        if hidden_pairs.size or hidden_cells.size:
-            self._index_unobserved()
-
-    def _index_unobserved(self):
-        """Check the unobserved entries, then build the index a fit reads."""
-        n, K = self.num_nodes, self.num_attrs
-        e, present = self._edges, self._attr_pairs
-        (pu, pv), (cu, ck) = self.unobserved_pairs.T, self.unobserved_cells.T
-        hidden_keys = np.sort(pair_keys(pu, pv, n))
-        if ((hidden_keys[1:] == hidden_keys[:-1]).any()
-                or contains(hidden_keys, pair_keys(e[:, 0], e[:, 1], n)).any()):
-            raise ValueError("unobserved pairs must be distinct non-edges")
-        keep = np.ones(n * K, dtype=bool)
-        keep[pair_keys(cu, ck, K)] = False
-        present_keys = pair_keys(present[:, 0], present[:, 1], K)
-        if np.count_nonzero(keep) != n * K - len(cu) or not keep[present_keys].all():
-            raise ValueError("unobserved cells must be distinct and absent")
-
-        # Neighbors and unobserved partners are disjoint, so together they
-        # list each partner once.
-        self._partner_indptr, self._partners = _csr(
-            np.concatenate([e[:, 0], e[:, 1], pu, pv]),
-            np.concatenate([e[:, 1], e[:, 0], pv, pu]), n)
-        kept = np.flatnonzero(keep)  # keys u * K + k of the observed cells
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(keep.reshape(n, K).sum(axis=1), out=indptr[1:])
-        self._kept_indptr, self._kept = indptr, kept % K
-        self._present_indptr, self._present = _csr(
-            present[:, 0], np.searchsorted(kept, present_keys) - indptr[present[:, 0]], n)
-        self._unobserved_indptr, self._unobserved_nodes = _csr(ck, cu, max(K, 1))
-        self._hidden = np.zeros(n, dtype=bool)
-        self._hidden[np.concatenate([pu, pv, cu])] = True
 
     @property
     def num_edges(self) -> int:
@@ -147,7 +130,7 @@ class AttributedGraph:
 
     @property
     def attr_pairs(self) -> np.ndarray:
-        """All (node, attr) pairs with X[u, k] = 1, shape (P, 2)."""
+        """All (node, attr) pairs with X[u, k] = 1, shape (P, 2), lexicographically sorted."""
         return self._attr_pairs
 
     @property
@@ -181,23 +164,14 @@ class AttributedGraph:
         i = np.searchsorted(ids, k)
         return bool(i < len(ids) and ids[i] == k)
 
-    def unobserved_index(self, u: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """None when every node pair and attribute cell of node u is observed.
-
-        Otherwise (partners, kept, present): the sorted ids of u's neighbors
-        and unobserved partners, the sorted ids of the attributes whose cell
-        on u is observed, and the positions in kept of those present on u.
-        """
-        if self._hidden is None or not self._hidden[u]:
-            return None
+    def unobserved_of(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """(partners, attrs): the sorted ids of the nodes v whose pair with u
+        is unobserved, and of the attributes whose cell on u is unobserved."""
         return (self._partners[self._partner_indptr[u]:self._partner_indptr[u + 1]],
-                self._kept[self._kept_indptr[u]:self._kept_indptr[u + 1]],
-                self._present[self._present_indptr[u]:self._present_indptr[u + 1]])
+                self._hidden_attrs[self._hidden_attr_indptr[u]:self._hidden_attr_indptr[u + 1]])
 
     def unobserved_nodes(self, k: int) -> np.ndarray:
         """Sorted ids of the nodes whose attribute-k cell is unobserved."""
-        if self._hidden is None:
-            return self._an_indices[:0]
         return self._unobserved_nodes[self._unobserved_indptr[k]:self._unobserved_indptr[k + 1]]
 
     def __repr__(self):
@@ -223,15 +197,22 @@ def contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return sorted_keys.take(np.searchsorted(sorted_keys, keys), mode="clip") == keys
 
 
-def _unique_pairs(pairs: np.ndarray, width: int) -> np.ndarray:
-    """np.unique(pairs, axis=0) for pairs with 0 <= pairs[:, 1] < width, through
-    one sorted pair key per row."""
-    keys = pair_keys(pairs[:, 0], pairs[:, 1], width)
-    # Not np.unique, whose hash table for integers costs more memory than the sort.
+def distinct_keys(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of the int64 array keys, ascending; sorts keys in place.
+
+    Not np.unique, whose hash table for integers costs more time and memory
+    than the sort.
+    """
     keys.sort()
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys = keys[first]
+    return keys[first]
+
+
+def _unique_pairs(pairs: np.ndarray, width: int) -> np.ndarray:
+    """np.unique(pairs, axis=0) for pairs with 0 <= pairs[:, 1] < width, through
+    one sorted pair key per row."""
+    keys = distinct_keys(pair_keys(pairs[:, 0], pairs[:, 1], width))
     out = np.empty((keys.size, 2), dtype=np.int64)
     np.divmod(keys, width, out=(out[:, 0], out[:, 1]))
     return out

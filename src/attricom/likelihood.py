@@ -148,39 +148,30 @@ def log_lik_attr(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights) 
 class _NodeState:
     """Per-node snapshot used by gradient and line-search evaluations."""
 
-    __slots__ = ("f_nbrs", "s_minus", "w_head", "w_bias", "x_idx", "alpha")
+    __slots__ = ("f_nbrs", "s_minus", "w_head", "w_bias", "x_idx", "hidden", "alpha")
 
-    def __init__(self, f_nbrs, s_minus, w_head, w_bias, x_idx, alpha):
+    def __init__(self, f_nbrs, s_minus, w_head, w_bias, x_idx, hidden, alpha):
         self.f_nbrs = f_nbrs
         self.s_minus = s_minus
         self.w_head = w_head
         self.w_bias = w_bias
         self.x_idx = x_idx  # indices of attributes present on the node
+        self.hidden = hidden  # indices of attributes whose cell on the node is unobserved
         self.alpha = alpha
 
 
 def _node_state(u: int, G: AttributedGraph, F: AffiliationMatrix,
                 W: AttributeWeights, config: FitConfig) -> _NodeState:
     V = F.values
-    f_nbrs = f_excluded = V[G.neighbors(u)]
-    w_head = W.values[:, :-1]
-    w_bias = W.values[:, -1]
-    hidden = G.unobserved_index(u)
-    if hidden is None:
-        x_idx = G.node_attr_ids(u)
-    else:
-        # Neighbors and unobserved partners leave the non-neighbor sum
-        # together, in one sorted pass, so the arithmetic does not depend on
-        # which unobserved pairs are edges of the full data.
-        partners, kept, x_idx = hidden
-        if len(partners) > len(f_nbrs):
-            f_excluded = V[partners]
-        if len(kept) < G.num_attrs:
-            w_head = w_head[kept]
-            w_bias = w_bias[kept]
-    s_minus = F.column_sums - V[u] - f_excluded.sum(axis=0)
-
-    return _NodeState(f_nbrs, s_minus, w_head, w_bias, x_idx, config.alpha)
+    f_nbrs = V[G.neighbors(u)]
+    partners, hidden = G.unobserved_of(u)
+    # Unobserved partners leave the non-neighbor sum as neighbors do, and
+    # unobserved cells are zeroed where the attribute terms are formed.
+    s_minus = F.column_sums - V[u] - f_nbrs.sum(axis=0)
+    if len(partners):
+        s_minus -= V[partners].sum(axis=0)
+    return _NodeState(f_nbrs, s_minus, W.values[:, :-1], W.values[:, -1],
+                      G.node_attr_ids(u), hidden, config.alpha)
 
 
 def _grad_from_state(st: _NodeState, f_row: np.ndarray) -> np.ndarray:
@@ -199,6 +190,7 @@ def _grad_from_state(st: _NodeState, f_row: np.ndarray) -> np.ndarray:
     if st.w_head.shape[0]:
         resid = -_sigmoid(st.w_head @ f_row + st.w_bias)
         resid[st.x_idx] += 1.0
+        resid[st.hidden] = 0.0
         g += st.alpha * (st.w_head.T @ resid)
     return g
 
@@ -215,6 +207,7 @@ def _local_objectives(st: _NodeState, rows: np.ndarray) -> np.ndarray:
     if st.w_head.shape[0]:
         z = rows @ st.w_head.T + st.w_bias
         log_1q = _log_1q(z)
+        log_1q[:, st.hidden] = 0.0
         lx = log_1q.sum(axis=1)
         if len(st.x_idx):
             lx += _log_q(z[:, st.x_idx]).sum(axis=1) - log_1q[:, st.x_idx].sum(axis=1)

@@ -114,7 +114,7 @@ def locally_minimal_neighborhoods(G: AttributedGraph) -> list[SeedSet]:
     n = G.num_nodes
     degs = G.degrees
     u, v = G.edges[:, 0], G.edges[:, 1]
-    edge_keys = np.sort(pair_keys(u, v, n))  # AttributedGraph does not check that edges are sorted
+    edge_keys = pair_keys(u, v, n)
 
     vol = degs + (np.bincount(u, weights=degs[v], minlength=n)
                   + np.bincount(v, weights=degs[u], minlength=n)).astype(np.int64)

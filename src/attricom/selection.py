@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import solver
-from .core import AttributedGraph, FitConfig, contains, pair_keys
+from .core import AttributedGraph, FitConfig, contains, distinct_keys, pair_keys
 from .likelihood import PROB_CLAMP, _edge_log_terms, _sigmoid
 
 _SMALL_N = 2000
@@ -44,8 +44,8 @@ class HoldoutMask:
         cell_keys = pair_keys(au, ak, K)
         edge_keys = pair_keys(G.edges[:, 0], G.edges[:, 1], n)
         present_keys = pair_keys(G.attr_pairs[:, 0], G.attr_pairs[:, 1], K)
-        self.pair_obs = contains(np.sort(edge_keys), mask_keys).astype(np.uint8)
-        self.attr_obs = contains(np.sort(present_keys), cell_keys).astype(np.uint8)
+        self.pair_obs = contains(edge_keys, mask_keys).astype(np.uint8)
+        self.attr_obs = contains(present_keys, cell_keys).astype(np.uint8)
         train_edges = ~contains(np.sort(mask_keys), edge_keys)
         train_attrs = ~contains(np.sort(cell_keys), present_keys)
         self.training_graph = AttributedGraph(
@@ -66,7 +66,7 @@ def _draw_distinct(rng, count: int, high: int, canonical=None) -> np.ndarray:
         batch = rng.integers(high, size=count - len(keys))
         if canonical is not None:
             batch = canonical(batch)
-        keys = np.unique(np.concatenate([keys, batch]))
+        keys = distinct_keys(np.concatenate([keys, batch]))
     return keys
 
 
@@ -97,7 +97,7 @@ def make_holdout(G: AttributedGraph, fraction: float, seed: int) -> HoldoutMask:
         idx = _choose(rng, G.num_edges, int(round(fraction * G.num_edges)))
         if len(idx) > n * (n - 1) // 2 - G.num_edges:
             raise ValueError("too few non-edges for a balanced holdout sample")
-        edge_keys = np.sort(pair_keys(G.edges[:, 0], G.edges[:, 1], n))
+        edge_keys = pair_keys(G.edges[:, 0], G.edges[:, 1], n)
 
         def non_edges(draw):
             a, b = np.divmod(draw, n)
@@ -119,7 +119,12 @@ def make_holdout(G: AttributedGraph, fraction: float, seed: int) -> HoldoutMask:
 
 def holdout_loglik(G: AttributedGraph, F, W, mask: HoldoutMask,
                    config: FitConfig) -> float:
-    """Bernoulli log-likelihood of the reserved pairs, alpha-scaled as in training."""
+    """Bernoulli log-likelihood of the reserved pairs, alpha-scaled as in training.
+
+    G must be the graph the mask was made for.
+    """
+    if mask.graph is not G:
+        raise ValueError("holdout mask was made for another graph")
     V = F.values
     total = 0.0
 

@@ -66,6 +66,31 @@ class TestBuildGraph:
             assert total == 2 * g.num_edges
 
 
+class TestStoredPairs:
+    def test_repeats_rejected(self):
+        with pytest.raises(ValueError):
+            AttributedGraph(3, 0, [(0, 1), (0, 1)], [])
+        with pytest.raises(ValueError):
+            AttributedGraph(3, 2, [(0, 1)], [(2, 1), (0, 0), (2, 1)])
+
+    def test_unsorted_input_stored_sorted(self):
+        rng = np.random.default_rng(5)
+        n, k = 30, 6
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2]
+        attrs = [(u, a) for u in range(n) for a in range(k) if rng.random() < 0.3]
+        g = AttributedGraph(n, k, edges, attrs)
+        h = AttributedGraph(n, k, rng.permutation(edges), rng.permutation(attrs))
+        for a, b in ((g.edges, h.edges), (g.attr_pairs, h.attr_pairs),
+                     (g.adjacency[0], h.adjacency[0]), (g.adjacency[1], h.adjacency[1])):
+            assert np.array_equal(a, b)
+        assert g.edges.tolist() == [list(e) for e in edges]
+        assert g.attr_pairs.tolist() == [list(a) for a in attrs]
+        for u in range(n):
+            assert np.array_equal(g.node_attr_ids(u), h.node_attr_ids(u))
+        for a in range(k):
+            assert np.array_equal(g.attr_node_ids(a), h.attr_node_ids(a))
+
+
 class TestUnobservedEntries:
     def test_invalid_entries_rejected(self):
         # Edge (0, 1) and attribute cell (0, 0) are stored as observed.
@@ -87,7 +112,10 @@ class TestUnobservedEntries:
                             unobserved_cells=[(1, 1), (0, 1)])
         assert g.unobserved_pairs.tolist() == [[2, 3], [0, 2]]  # in the order given
         assert g.unobserved_cells.tolist() == [[1, 1], [0, 1]]
-        assert g.unobserved_index(3)[0].tolist() == [2]
+        partners, attrs = g.unobserved_of(0)
+        assert partners.tolist() == [2] and attrs.tolist() == [1]
+        partners, attrs = g.unobserved_of(3)
+        assert partners.tolist() == [2] and attrs.tolist() == []
         assert g.unobserved_nodes(1).tolist() == [0, 1]
 
 

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from attricom import (AffiliationMatrix, AttributeWeights, FitConfig, attr_prob,
-                      build_graph, edge_prob, grad_attr_weights, grad_node,
-                      log_lik_attr, log_lik_graph, make_holdout, objective)
+from attricom import (AffiliationMatrix, AttributedGraph, AttributeWeights,
+                      FitConfig, attr_prob, build_graph, edge_prob,
+                      grad_attr_weights, grad_node, log_lik_attr, log_lik_graph,
+                      make_holdout, objective)
+from attricom.likelihood import _local_objectives, _node_state
 
 from oracles import (central_difference, naive_grad_attr_weights,
                      naive_grad_node, naive_log_lik_attr, naive_log_lik_graph,
@@ -88,6 +90,17 @@ class TestLogLikAttr:
             G, F, W = random_instance(rng, max_n=10, max_k=5)
             assert log_lik_attr(G, F, W) == pytest.approx(
                 naive_log_lik_attr(G, F, W), abs=1e-12)
+
+    def test_permuted_pairs_beyond_one_chunk(self):
+        # 5000 * 450 cells exceed one 2**21-cell chunk, so the pairs are read
+        # chunk by chunk through a cursor that needs them sorted by node.
+        rng = np.random.default_rng(9)
+        n, k, c = 5000, 450, 3
+        pairs = np.argwhere(rng.random((n, k)) < 0.01)
+        F = AffiliationMatrix(rng.uniform(0.0, 1.0, size=(n, c)))
+        W = AttributeWeights(rng.uniform(-1.0, 1.0, size=(k, c + 1)))
+        want = log_lik_attr(AttributedGraph(n, k, [], pairs), F, W)
+        assert log_lik_attr(AttributedGraph(n, k, [], rng.permutation(pairs)), F, W) == want
 
 
 class TestGradNode:
@@ -202,6 +215,31 @@ class TestObjective:
         b = objective(G, F, W, cfg)
         assert a == b
         assert log_lik_graph(G, F) == log_lik_graph(G, F)
+
+
+class TestLocalObjectives:
+    def test_differences_match_objective(self):
+        """A node's local objectives differ across candidate rows exactly as
+        the scaled objective does, on whole and held-out graphs."""
+        rng = np.random.default_rng(21)
+        cfg = FitConfig(alpha=0.4, lam=0.7)
+        for seed in range(6):
+            G, F, W = random_instance(rng, max_n=16, max_c=3, max_k=5)
+            graphs = [G]
+            if G.num_nodes >= 4:
+                graphs.append(make_holdout(G, 0.3, seed).training_graph)
+            for g in graphs:
+                for u in range(g.num_nodes):
+                    rows = np.vstack([F.values[u],
+                                      rng.uniform(0.0, 2.0, size=(4, F.num_communities))])
+                    rows[1, 0] = 0.0
+                    local = _local_objectives(_node_state(u, g, F, W, cfg), rows)
+                    base = objective(g, F, W, cfg).scaled_total
+                    for row, value in zip(rows[1:], local[1:]):
+                        moved = F.values.copy()
+                        moved[u] = row
+                        delta = objective(g, AffiliationMatrix(moved), W, cfg).scaled_total - base
+                        assert value - local[0] == pytest.approx(delta, abs=1e-9)
 
 
 class TestMaskedMatchesOracles:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,15 +14,6 @@ from oracles import naive_log_lik_attr, naive_log_lik_graph
 def _empty_mask(g):
     z = np.zeros(0, dtype=np.int64)
     return HoldoutMask(g, z, z, z, z)
-
-
-def _index(g, u):
-    """Node u's neighbors and unobserved partners, observed attribute ids and
-    the positions among them of its present attributes, as lists."""
-    index = g.unobserved_index(u)
-    if index is None:
-        return g.neighbors(u).tolist(), list(range(g.num_attrs)), g.node_attr_ids(u).tolist()
-    return [a.tolist() for a in index]
 
 
 def _random_edges(rng, n, m):
@@ -91,19 +83,19 @@ class TestMakeHoldout:
             partners = sorted([b for a, b in pairs if a == u] + [a for a, b in pairs if b == u])
             nbrs = g.neighbors(u).tolist()
             assert train.neighbors(u).tolist() == [v for v in nbrs if v not in partners]
-            excluded, kept_ids, present = _index(train, u)
-            assert excluded == sorted(set(nbrs) | set(partners))
-            masked = [k for w, k in cells if w == u]
-            kept = [k for k in range(g.num_attrs) if k not in masked]
-            assert kept_ids == kept
-            assert present == [kept.index(k) for k in g.node_attr_ids(u) if k not in masked]
+            hidden_partners, hidden_attrs = train.unobserved_of(u)
+            assert hidden_partners.tolist() == partners
+            masked = sorted(k for w, k in cells if w == u)
+            assert hidden_attrs.tolist() == masked
+            assert train.node_attr_ids(u).tolist() == [k for k in g.node_attr_ids(u)
+                                                       if k not in masked]
         for k in range(g.num_attrs):
             assert train.unobserved_nodes(k).tolist() == sorted(u for u, j in cells if j == k)
         empty = _empty_mask(g).training_graph
         assert np.array_equal(empty.edges, g.edges)
         assert np.array_equal(empty.attr_pairs, g.attr_pairs)
         for u in range(g.num_nodes):
-            assert empty.unobserved_index(u) is None
+            assert [a.tolist() for a in empty.unobserved_of(u)] == [[], []]
         assert all(empty.unobserved_nodes(k).tolist() == [] for k in range(g.num_attrs))
 
     def test_duplicate_pairs_rejected(self):
@@ -187,6 +179,24 @@ class TestMakeHoldout:
         assert np.array_equal(mask.attr_u, again.attr_u)
         assert np.array_equal(mask.attr_k, again.attr_k)
 
+    def test_memory_grows_with_stored_pairs_not_cells(self):
+        # 20,000 nodes by 500 attributes is 10**7 cells, 2% of them present.
+        # A held-out graph stores its unobserved entries per node, so a mask
+        # costs memory in proportion to the pairs, not to the cells.
+        rng = np.random.default_rng(11)
+        n, k = 20_000, 500
+        cells = np.unique(rng.integers(n * k, size=n * k // 50))
+        g = build_graph(rng.integers(n, size=(100_000, 2)),
+                        np.column_stack(np.divmod(cells, k)), n, k)
+        tracemalloc.start()
+        try:
+            mask = make_holdout(g, 0.01, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(mask.attr_u) == n * k // 100
+        assert peak < 5 * n * k
+
 
 class TestHoldoutLoglik:
     def test_empty_mask_scores_zero(self):
@@ -220,6 +230,16 @@ class TestHoldoutLoglik:
         want = (0.7 * naive_log_lik_graph(g, F, cfg.min_dot_guard)
                 + 0.3 * naive_log_lik_attr(g, F, W))
         assert got == pytest.approx(want, abs=1e-9)
+
+    def test_mask_of_another_graph_rejected(self):
+        g = build_graph([(0, 1), (1, 2)], [(0, 0)], 3, 1)
+        other = build_graph([(0, 2)], [(1, 0)], 3, 1)
+        mask = HoldoutMask(g, [0], [1], [0], [0])
+        F = AffiliationMatrix(np.ones((3, 1)))
+        W = AttributeWeights(np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="another graph"):
+            holdout_loglik(other, F, W, mask, FitConfig())
+        assert holdout_loglik(g, F, W, mask, FitConfig()) < 0.0
 
     def test_never_positive(self):
         rng = np.random.default_rng(4)
