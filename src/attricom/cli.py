@@ -25,6 +25,10 @@ from .solver import default_threshold, fit, threshold_memberships
 from .synthetic import (ForestFireParams, PlantedSpec, forest_fire,
                         planted_instance, remove_edges)
 
+# detect -c auto flags the best two held-out scores as a near-tie when they
+# lie within this distance, relative to the best one.
+NEAR_TIE_RTOL = 1e-4
+
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
@@ -187,6 +191,13 @@ def cmd_detect(args) -> int:
         manifest["candidates"] = ",".join(str(c) for c, _ in scores)
         for c, score in scores:
             manifest[f"holdout_score_{c}"] = repr(score)
+        ranked = sorted(scores, key=lambda cs: (-cs[1], cs[0]))
+        if len(ranked) > 1 and (ranked[0][1] - ranked[1][1]
+                                <= NEAR_TIE_RTOL * abs(ranked[0][1])):
+            # Scores this close are decided by the fit's rounding, not the model.
+            _log(f"attricom: note: held-out scores of C={ranked[0][0]} and "
+                 f"C={ranked[1][0]} are within {NEAR_TIE_RTOL:g} relative")
+            manifest["holdout_near_tie"] = f"{ranked[0][0]},{ranked[1][0]}"
         num_communities = best
     else:
         try:

@@ -47,6 +47,15 @@ def _csr(heads: np.ndarray, tails: np.ndarray, n: int):
     return indptr, tails
 
 
+def _gather(indptr: np.ndarray, indices: np.ndarray, heads: np.ndarray):
+    """(counts, tails) of the CSR rows of heads, the rows concatenated in order."""
+    starts = indptr[heads]
+    counts = indptr[heads + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return counts, indices[np.arange(total) + np.repeat(starts - ends + counts, counts)]
+
+
 class AttributedGraph:
     """Undirected simple graph plus sparse binary node attributes.
 
@@ -174,6 +183,16 @@ class AttributedGraph:
         """Sorted ids of the nodes whose attribute-k cell is unobserved."""
         return self._unobserved_nodes[self._unobserved_indptr[k]:self._unobserved_indptr[k + 1]]
 
+    def lists_of(self, nodes: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The per-node lists of several nodes at once: (counts, ids) for
+        neighbors, unobserved partners, present attributes and unobserved
+        attributes, in that order. ids concatenates the list of each node of
+        nodes in turn, and counts[i] of its entries belong to nodes[i]."""
+        return tuple(_gather(indptr, indices, nodes) for indptr, indices in (
+            (self._adj_indptr, self._adj_indices), (self._partner_indptr, self._partners),
+            (self._na_indptr, self._na_indices),
+            (self._hidden_attr_indptr, self._hidden_attrs)))
+
     def __repr__(self):
         return (f"AttributedGraph(n={self.num_nodes}, edges={self.num_edges}, "
                 f"attrs={self.num_attrs}, attr_pairs={len(self._attr_pairs)})")
@@ -211,8 +230,12 @@ def distinct_keys(keys: np.ndarray) -> np.ndarray:
 
 def _unique_pairs(pairs: np.ndarray, width: int) -> np.ndarray:
     """np.unique(pairs, axis=0) for pairs with 0 <= pairs[:, 1] < width, through
-    one sorted pair key per row."""
-    keys = distinct_keys(pair_keys(pairs[:, 0], pairs[:, 1], width))
+    one sorted pair key per row. Pairs already sorted and distinct (as
+    build_graph hands them to AttributedGraph) are copied, not sorted again."""
+    keys = pair_keys(pairs[:, 0], pairs[:, 1], width)
+    if (keys[1:] > keys[:-1]).all():
+        return np.array(pairs, order="C")
+    keys = distinct_keys(keys)
     out = np.empty((keys.size, 2), dtype=np.int64)
     np.divmod(keys, width, out=(out[:, 0], out[:, 1]))
     return out

@@ -215,6 +215,73 @@ def _local_objectives(st: _NodeState, rows: np.ndarray) -> np.ndarray:
     return total
 
 
+def _segment_sums(a: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of consecutive runs of a's rows, counts[i] rows for run i (zero
+    for an empty run)."""
+    out = np.zeros((len(counts),) + a.shape[1:])
+    full = counts > 0
+    if full.any():
+        out[full] = np.add.reduceat(a, (np.cumsum(counts) - counts)[full], axis=0)
+    return out
+
+
+class _BatchState:
+    """_NodeState of a batch of pairwise non-adjacent nodes, against one
+    state of F. Row r of f_nbrs is a neighbor of batch node pos[r], counts[i]
+    rows for node i; (x_pos, x_ids) and (h_pos, h_ids) are the present and
+    the unobserved cells as (batch node, attribute)."""
+
+    __slots__ = ("f_nbrs", "pos", "counts", "s_minus", "w_head", "w_bias",
+                 "x_pos", "x_ids", "h_pos", "h_ids", "alpha")
+
+    def __init__(self, nodes, G: AttributedGraph, F: AffiliationMatrix,
+                 W: AttributeWeights, config: FitConfig):
+        V = F.values
+        ((self.counts, nbrs), (p_counts, partners), (x_counts, self.x_ids),
+         (h_counts, self.h_ids)) = G.lists_of(nodes)
+        at = np.arange(len(nodes))
+        self.pos, self.x_pos, self.h_pos = (np.repeat(at, c) for c in
+                                            (self.counts, x_counts, h_counts))
+        self.f_nbrs = V[nbrs]
+        self.s_minus = F.column_sums - V[nodes] - _segment_sums(self.f_nbrs, self.counts)
+        if len(partners):
+            self.s_minus -= _segment_sums(V[partners], p_counts)
+        self.w_head, self.w_bias = W.values[:, :-1], W.values[:, -1]
+        self.alpha = config.alpha
+
+
+def _batch_grad(st: _BatchState, f: np.ndarray) -> np.ndarray:
+    """_grad_from_state for every node of the batch: f and the result are (b, C)."""
+    dots = np.einsum("rc,rc->r", st.f_nbrs, f[st.pos])
+    ratio = np.zeros_like(dots)
+    active = dots > MIN_DOT_GUARD
+    ratio[active] = 1.0 / np.expm1(np.minimum(dots[active], 700.0))
+    g = _segment_sums(st.f_nbrs * ratio[:, np.newaxis], st.counts) - st.s_minus
+    g *= 1.0 - st.alpha
+    if st.w_head.shape[0]:
+        resid = -_sigmoid(f @ st.w_head.T + st.w_bias)
+        resid[st.x_pos, st.x_ids] += 1.0
+        resid[st.h_pos, st.h_ids] = 0.0
+        g += st.alpha * (resid @ st.w_head)
+    return g
+
+
+def _batch_local_objectives(st: _BatchState, rows: np.ndarray) -> np.ndarray:
+    """_local_objectives for every node of the batch: rows is (b, T, C), its
+    row [i, t] a candidate row of batch node i, and the result is (b, T)."""
+    dots = np.einsum("rtc,rc->rt", rows[st.pos], st.f_nbrs)
+    lg = _segment_sums(_edge_log_terms(dots), st.counts)
+    lg -= np.einsum("btc,bc->bt", rows, st.s_minus)
+    total = (1.0 - st.alpha) * lg
+    if st.w_head.shape[0]:
+        z = rows @ st.w_head.T + st.w_bias
+        terms = _log_1q(z)
+        terms[st.x_pos, :, st.x_ids] = _log_q(z[st.x_pos, :, st.x_ids])
+        terms[st.h_pos, :, st.h_ids] = 0.0
+        total += st.alpha * terms.sum(axis=2)
+    return total
+
+
 def grad_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
               W: AttributeWeights, config: FitConfig) -> np.ndarray:
     """Gradient of the alpha-scaled objective with respect to node u's row.

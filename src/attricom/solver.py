@@ -13,7 +13,8 @@ import numpy as np
 from .core import (MAX_MEMBERSHIP, AffiliationMatrix, AttributedGraph,
                    AttributeWeights, CommunityCover, FitConfig,
                    refresh_column_sums)
-from .likelihood import (ObjectiveValue, _grad_from_state, _local_objectives,
+from .likelihood import (ObjectiveValue, _batch_grad, _batch_local_objectives,
+                         _BatchState, _grad_from_state, _local_objectives,
                          _log_1q, _log_q, _node_state, grad_attr_weights,
                          objective)
 from .seeding import init_affiliations
@@ -27,6 +28,16 @@ _ARMIJO = 1e-4
 # Once shrinking starts, a full node pass follows every
 # _FULL_PASS_PERIOD - 1 shrunk passes in a row (see fit).
 _FULL_PASS_PERIOD = 4
+# A run of non-adjacent nodes is updated as one batch when at least
+# _MIN_BATCH of its nodes are due for an update. Below that a batch saves
+# little over the nodes' update_node calls, and dense graphs, whose runs
+# are all shorter, keep update_node's fits exactly. A run closes at
+# _RUN_NODES nodes, or before its gathered neighbor and partner rows times
+# C, or its nodes times K, pass _RUN_CELLS: the line search holds 17 rows
+# (the old one and 16 trials) for each of them.
+_MIN_BATCH = 16
+_RUN_NODES = 4096
+_RUN_CELLS = 1 << 16
 
 
 @dataclass
@@ -88,6 +99,93 @@ def update_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
     return True
 
 
+def _node_runs(G: AttributedGraph, C: int) -> list[tuple[int, int]]:
+    """Split the node ids into consecutive runs [start, stop) of pairwise
+    non-adjacent nodes, neither joined by an edge nor an unobserved pair.
+
+    Walking the ids upward, node u joins the open run when its largest lower
+    neighbor or partner lies below the run's start and the run stays within
+    the _RUN_NODES and _RUN_CELLS caps; otherwise u starts a new run.
+    """
+    n = G.num_nodes
+    lower = np.full(n, -1, dtype=np.int64)
+    pairs = np.concatenate([G.edges, G.unobserved_pairs])
+    np.maximum.at(lower, pairs[:, 1], pairs[:, 0])
+    row_cells = C * (G.degrees + np.bincount(G.unobserved_pairs.ravel(), minlength=n))
+    node_limit = min(_RUN_NODES, _RUN_CELLS // max(G.num_attrs, 1))
+    runs, start, cells = [], 0, 0
+    for u, (low, own) in enumerate(zip(lower.tolist(), row_cells.tolist())):
+        if u > start and (low >= start or u - start >= node_limit
+                          or cells + own > _RUN_CELLS):
+            runs.append((start, u))
+            start, cells = u, 0
+        cells += own
+    runs.append((start, n))
+    return runs
+
+
+def _propose_batch(nodes: np.ndarray, G: AttributedGraph, F: AffiliationMatrix,
+                   W: AttributeWeights, config: FitConfig):
+    """update_node's step for every node of a batch of pairwise non-adjacent
+    nodes, all proposed against the current state; nothing is written.
+
+    Returns (moved, rows, gain): the nodes whose step changes their row,
+    their new rows, and the exact change of the scaled objective if all of
+    them are written. The rows interact only through the non-edge term, so
+    that is the sum of the nodes' local gains less
+    (1 - alpha) * 1/2 (||sum of deltas||^2 - sum of ||delta||^2).
+    """
+    st = _BatchState(nodes, G, F, W, config)
+    f_old = F.values[nodes]
+    g = _batch_grad(st, f_old)
+    movable = ((g > 0.0) & (f_old < MAX_MEMBERSHIP)) | ((g < 0.0) & (f_old > 0.0))
+    active = movable.any(axis=1)
+    if not active.all():  # as in update_node, a screened-out node skips the line search
+        nodes, f_old, g = nodes[active], f_old[active], g[active]
+        st = _BatchState(nodes, G, F, W, config)
+    g_norm2 = np.einsum("bc,bc->b", g, g)
+    rows = np.empty((len(nodes), len(_STEPS) + 1, f_old.shape[1]))
+    rows[:, 0] = f_old
+    np.clip(f_old[:, np.newaxis] + _STEPS[:, np.newaxis] * g[:, np.newaxis],
+            0.0, MAX_MEMBERSHIP, out=rows[:, 1:])
+    values = _batch_local_objectives(st, rows)
+    passed = values[:, 1:] - values[:, :1] >= _ARMIJO * _STEPS * g_norm2[:, np.newaxis]
+    moved = np.flatnonzero(passed.any(axis=1))
+    step = 1 + passed[moved].argmax(axis=1)
+    delta = rows[moved, step] - f_old[moved]
+    shift = delta.sum(axis=0)
+    cross = 0.5 * (float(shift @ shift) - float(np.einsum("bc,bc->", delta, delta)))
+    gain = float((values[moved, step] - values[moved, 0]).sum()) - (1.0 - config.alpha) * cross
+    return nodes[moved], rows[moved, step], gain
+
+
+def _node_pass(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights,
+               config: FitConfig, runs, settled: np.ndarray, full: bool) -> None:
+    """One node pass over the runs of _node_runs, rewriting settled. A run
+    with at least _MIN_BATCH nodes to update (all of them on a full pass,
+    the unsettled ones on a shrunk pass) is proposed as one batch, which is
+    written when its exact gain is >= 0. Every other run, and a batch with
+    a negative gain, calls update_node for each node of the run in id
+    order, with settled as the screen on a shrunk pass."""
+    screen = None if full else settled
+    for start, stop in runs:
+        if stop - start >= _MIN_BATCH:
+            nodes = np.arange(start, stop)
+            if not full:
+                nodes = nodes[~settled[start:stop]]
+            if len(nodes) >= _MIN_BATCH:
+                moved, rows, gain = _propose_batch(nodes, G, F, W, config)
+                if gain >= 0.0:
+                    F.column_sums += (rows - F.values[moved]).sum(axis=0)
+                    F.values[moved] = rows
+                    settled[nodes] = True
+                    settled[moved] = False
+                    continue
+        # settled[u] is read before it is rewritten.
+        for u in range(start, stop):
+            settled[u] = not update_node(u, G, F, W, config, screen)
+
+
 def _attr_objective(k, G, F, w, config):
     """alpha-scaled log-likelihood of attribute k's observed cells minus its l1 cost."""
     z = F.values @ w[:-1] + w[-1]
@@ -128,7 +226,8 @@ def fit(G: AttributedGraph, C: int, config: FitConfig | None = None,
     """Alternate membership and weight passes until the objective stalls.
 
     Memberships start from conductance-ranked seed neighborhoods, weights at
-    zero. Each iteration updates node rows in id order, then every
+    zero. Each iteration updates node rows in id order, long runs of
+    non-adjacent nodes as one batch (see _node_pass), then every
     attribute's weights. A node whose last update left its row unchanged is
     settled. A full pass updates every node; a shrunk pass updates only the
     unsettled ones. A pass is full when it is the first, when fewer than
@@ -163,6 +262,7 @@ def fit(G: AttributedGraph, C: int, config: FitConfig | None = None,
     converged = False
     iterations = 0
     settled = np.zeros(G.num_nodes, dtype=bool)
+    runs = _node_runs(G, C)
     since_full = 0  # passes since the last full pass began; 0: the next one is full
 
     for it in range(1, config.max_outer_iters + 1):
@@ -170,13 +270,7 @@ def fit(G: AttributedGraph, C: int, config: FitConfig | None = None,
         num_settled = int(np.count_nonzero(settled))
         full = since_full == 0 or 2 * num_settled < G.num_nodes
         updated = G.num_nodes if full else G.num_nodes - num_settled
-        # Every node gets an update_node call, since the benchmark's tracer
-        # counts one call per node per pass (bench/test_checks.py); on a
-        # shrunk pass, the settled ones return at once. settled[u] is read
-        # before it is rewritten.
-        screen = None if full else settled
-        for u in range(G.num_nodes):
-            settled[u] = not update_node(u, G, F, W, config, screen)
+        _node_pass(G, F, W, config, runs, settled, full)
         refresh_column_sums(F)  # drop the rounding the per-row adjustments add up
         for k in range(G.num_attrs):
             update_attr_weights(k, G, F, W, config)

@@ -82,6 +82,25 @@ class TestDetect:
         assert float(manifest["holdout_score_2"]) == -1.0000000001
         assert float(manifest["holdout_score_4"]) == -1.00000000001
 
+    @pytest.mark.parametrize("scores, tie", [
+        ([(2, -1000.05), (4, -1000.0), (8, -1200.0)], "4,2"),
+        ([(2, -1000.0), (4, -1000.0)], "2,4"),
+        ([(2, -1000.0), (4, -1000.2), (8, -1000.3)], None),
+        ([(4, -1000.0)], None),
+    ])
+    def test_auto_near_tie_flagged(self, tmp_path, clique_edges, monkeypatch, capsys,
+                                   scores, tie):
+        best = min(scores, key=lambda cs: (-cs[1], cs[0]))[0]
+        monkeypatch.setattr("attricom.cli.choose_num_communities",
+                            lambda graph, candidates, config: (best, scores))
+        rc = main(["detect", "-i", str(clique_edges), "-c", "auto",
+                   "--candidates", ",".join(str(c) for c, _ in scores),
+                   "-o", str(tmp_path / "run")])
+        assert rc == 0
+        manifest = read_manifest(tmp_path / "run.manifest.tsv")
+        assert manifest.get("holdout_near_tie") == tie
+        assert ("within 0.0001 relative" in capsys.readouterr().err) == (tie is not None)
+
     def test_unparseable_line_exits_2(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("0\t1\nnot an edge\n")

@@ -90,6 +90,46 @@ class TestStoredPairs:
         for a in range(k):
             assert np.array_equal(g.attr_node_ids(a), h.attr_node_ids(a))
 
+    def test_build_graph_sorts_once(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        edges = rng.integers(0, 40, size=(300, 2))
+        attrs = rng.integers(0, 8, size=(200, 2))
+        sorted_sizes = []
+        distinct_keys = attricom.core.distinct_keys
+
+        def recorded(keys):
+            sorted_sizes.append(keys.size)
+            return distinct_keys(keys)
+
+        monkeypatch.setattr(attricom.core, "distinct_keys", recorded)
+        g = build_graph(edges, attrs, 40, 8)
+        assert [s for s in sorted_sizes if s] == [len(edges) - (edges[:, 0] == edges[:, 1]).sum(),
+                                                  len(attrs)]
+        # Stored pairs are fresh C-ordered copies, equal to a sort of the input.
+        h = AttributedGraph(40, 8, rng.permutation(g.edges), rng.permutation(g.attr_pairs))
+        for ours, theirs in ((g.edges, h.edges), (g.attr_pairs, h.attr_pairs)):
+            assert np.array_equal(ours, theirs)
+            assert ours.dtype == np.int64 and ours.flags.c_contiguous
+        canonical = np.array(g.edges)
+        k = AttributedGraph(40, 8, canonical, g.attr_pairs)
+        assert np.array_equal(k.edges, g.edges) and not np.shares_memory(k.edges, canonical)
+
+
+class TestNodeLists:
+    def test_lists_of_matches_per_node_lists(self):
+        rng = np.random.default_rng(8)
+        g = attricom.bernoulli_attributes(
+            attricom.forest_fire(attricom.ForestFireParams(n=200, seed=3)), 6, 0.4, seed=3)
+        t = attricom.make_holdout(g, 0.2, 0).training_graph
+        for nodes in (np.arange(0), np.arange(200), np.flatnonzero(rng.random(200) < 0.3)):
+            per_node = [[t.neighbors(u) for u in nodes],
+                        [t.unobserved_of(u)[0] for u in nodes],
+                        [t.node_attr_ids(u) for u in nodes],
+                        [t.unobserved_of(u)[1] for u in nodes]]
+            for (counts, ids), lists in zip(t.lists_of(nodes), per_node, strict=True):
+                assert counts.tolist() == [len(x) for x in lists]
+                assert ids.tolist() == [int(v) for x in lists for v in x]
+
 
 class TestUnobservedEntries:
     def test_invalid_entries_rejected(self):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from attricom import (MAX_MEMBERSHIP, AffiliationMatrix, AttributeWeights,
                       CommunityCover, FitConfig, ForestFireParams, HoldoutMask,
                       SimilarityKind, bernoulli_attributes, build_graph,
                       default_threshold, edge_prob, fit, forest_fire, grad_node,
-                      init_affiliations, make_holdout, match_score, rank_attributes,
-                      refresh_column_sums, threshold_memberships,
+                      init_affiliations, make_holdout, match_score, objective,
+                      rank_attributes, refresh_column_sums, threshold_memberships,
                       update_attr_weights, update_node)
 from attricom.likelihood import _local_objectives, _node_state
-from attricom.solver import _attr_objective
+from attricom.solver import _attr_objective, _node_runs, _propose_batch
 
 from oracles import naive_log_lik_attr
 
@@ -229,7 +230,6 @@ class TestFit:
         assert np.array_equal(a.W.values, np.zeros_like(a.W.values))
 
     def test_reports_genuine_objective(self):
-        from attricom import objective
         rng = np.random.default_rng(8)
         g = _planted_like(rng, n=30, c=2, k=3)
         cfg = FitConfig(max_outer_iters=10, rng_seed=0)
@@ -242,8 +242,10 @@ class TestFit:
 def _recorded_fit(monkeypatch, g, C, cfg, mask=None):
     """fit, plus each pass's node updates as (node, moved) pairs, read
     through wrappers on the module globals fit calls. Every pass must call
-    update_node once per node in id order; calls that a shrunk pass's
-    settled screen skips are not recorded as updates."""
+    update_node once per node in id order, which holds for graphs without
+    runs of _MIN_BATCH (16) non-adjacent nodes, since a longer run is
+    updated as a batch; calls that a shrunk pass's settled screen skips are
+    not recorded as updates."""
     passes, calls = [], []
     update_node, objective = solver.update_node, solver.objective
 
@@ -379,6 +381,176 @@ class TestHoldoutFit:
             with pytest.raises(ValueError, match="another graph"):
                 fit(g, 2, FitConfig(max_outer_iters=2), mask=make_holdout(other, 0.2, 0))
         fit(g, 2, FitConfig(max_outer_iters=2), mask=make_holdout(g, 0.2, 0))
+
+
+def _batched_graph(masked=False):
+    """forest-fire n=1000, on which 556 nodes lie in runs of 16 or more; with
+    masked, the training graph of a mask reserving 150 edges, up to 150
+    other pairs and up to 300 cells (make_holdout's share of all pairs would
+    leave no run of 16)."""
+    g = _sparse_graph(1, n=1000)
+    if not masked:
+        return g
+    rng = np.random.default_rng(0)
+    n = g.num_nodes
+    others = np.sort(rng.integers(0, n, size=(400, 2)), axis=1)
+    others = others[(others[:, 0] < others[:, 1])
+                    & ~np.isin(others @ [n, 1], g.edges @ [n, 1])][:150]
+    pairs = np.unique(np.concatenate([g.edges[rng.choice(g.num_edges, 150, replace=False)],
+                                      others]), axis=0)
+    cells = np.unique(np.column_stack([rng.integers(0, n, 300),
+                                       rng.integers(0, g.num_attrs, 300)]), axis=0)
+    return HoldoutMask(g, pairs[:, 0], pairs[:, 1], cells[:, 0], cells[:, 1]).training_graph
+
+
+def _long_runs(G, C):
+    return [(a, b) for a, b in _node_runs(G, C) if b - a >= solver._MIN_BATCH]
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_predicted_gain_is_the_objective_change(self, masked):
+        G = _batched_graph(masked)
+        F = init_affiliations(G, 3, seed=0)
+        W = AttributeWeights(np.random.default_rng(0).normal(size=(G.num_attrs, 4)))
+        cfg = FitConfig()
+        runs = _long_runs(G, 3)
+        assert sum(b - a for a, b in runs) > 500
+        moves = 0
+        for _ in range(2):
+            for a, b in runs:
+                before = objective(G, F, W, cfg).scaled_total
+                moved, rows, gain = _propose_batch(np.arange(a, b), G, F, W, cfg)
+                F.values[moved] = rows
+                refresh_column_sums(F)
+                change = objective(G, F, W, cfg).scaled_total - before
+                assert abs(change - gain) <= 1e-8 * abs(change)
+                moves += len(moved)
+        assert moves > 500
+
+    def test_cross_term_outweighing_local_gains_falls_back(self, monkeypatch):
+        # Nodes 0..19 share only hub 20: each alone gains by rising towards
+        # the hub, but all of them rising together raises every non-edge
+        # product between them.
+        g = build_graph([(u, 20) for u in range(20)], [], 21, 0)
+        F = AffiliationMatrix(np.r_[np.full(20, 0.01), 5.0][:, np.newaxis])
+        W = AttributeWeights(np.zeros((0, 2)))
+        cfg = FitConfig(alpha=0.0)
+        batch = np.arange(20)
+        alone = [_propose_batch(np.array([u]), g, F, W, cfg)[2] for u in batch]
+        moved, _, gain = _propose_batch(batch, g, F, W, cfg)
+        assert len(moved) == 20 and min(alone) > 0.0 and gain < 0.0
+        calls = []
+        update_node = solver.update_node
+        monkeypatch.setattr(solver, "update_node",
+                            lambda u, *args: calls.append(u) or update_node(u, *args))
+        before = objective(g, F, W, cfg).scaled_total
+        settled = np.zeros(21, dtype=bool)
+        runs = _node_runs(g, 1)
+        assert runs == [(0, 20), (20, 21)]
+        solver._node_pass(g, F, W, cfg, runs, settled, True)
+        assert calls == list(range(21))
+        assert objective(g, F, W, cfg).scaled_total > before
+        assert not np.array_equal(F.values[:20], np.full((20, 1), 0.01))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_one_node_proposal_is_update_node(self, masked):
+        G = _batched_graph(masked)
+        F = init_affiliations(G, 3, seed=2)
+        W = AttributeWeights(np.random.default_rng(2).normal(size=(G.num_attrs, 4)))
+        cfg = FitConfig()
+        for u in range(G.num_nodes):
+            moved, rows, gain = _propose_batch(np.array([u]), G, F, W, cfg)
+            f_old = F.values[u].copy()
+            assert update_node(u, G, F, W, cfg) == (len(moved) == 1)
+            want = rows[0] if len(moved) else f_old
+            assert np.allclose(F.values[u], want, rtol=1e-12, atol=0.0)
+            assert gain >= 0.0
+
+    def test_isolated_nodes_and_zero_rows(self):
+        # Batch 0..19: isolated nodes, a zero row, and neighbours at zero;
+        # RuntimeWarnings are errors under pytest.
+        edges = [(u, 20 + u % 3) for u in range(0, 20, 2)]
+        attrs = [(u, k) for u in range(0, 23, 3) for k in range(2)]
+        G = build_graph(edges, attrs, 23, 3)
+        values = np.random.default_rng(3).random((23, 2))
+        values[[1, 4, 20]] = 0.0
+        F = AffiliationMatrix(values)
+        W = AttributeWeights(np.random.default_rng(4).normal(size=(3, 3)))
+        for cfg in (FitConfig(), FitConfig(alpha=0.0), FitConfig(alpha=1.0)):
+            moved, rows, gain = _propose_batch(np.arange(20), G, F, W, cfg)
+            assert np.isfinite(gain) and np.isfinite(rows).all()
+        moved, rows, gain = _propose_batch(np.array([1, 4]), build_graph([], [], 23, 0),
+                                           F, AttributeWeights(np.zeros((0, 3))), FitConfig())
+        assert len(moved) == 0 and gain == 0.0
+
+
+class TestNodeRuns:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 60), p=st.floats(0.0, 0.3),
+           C=st.integers(1, 4), K=st.integers(0, 5), masked=st.booleans(),
+           caps=st.sampled_from([None, (3, 12), (5, 40)]))
+    def test_partition(self, seed, n, p, C, K, masked, caps):
+        rng = np.random.default_rng(seed)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        attrs = [(u, k) for u in range(n) for k in range(K) if rng.random() < 0.4]
+        G = build_graph(edges, attrs, n, K)
+        if masked and n > 1:
+            G = make_holdout(G, 0.2, seed).training_graph
+        nodes_cap, cells_cap = caps or (solver._RUN_NODES, solver._RUN_CELLS)
+        with mock.patch.multiple(solver, _RUN_NODES=nodes_cap, _RUN_CELLS=cells_cap):
+            runs = _node_runs(G, C)
+        conflicts = {tuple(e) for e in G.edges} | {tuple(q) for q in G.unobserved_pairs}
+        cells = C * (G.degrees + np.bincount(G.unobserved_pairs.ravel(), minlength=n))
+
+        def fits(a, b):
+            return ((b - a) <= nodes_cap and (b - a) * K <= cells_cap
+                    and int(cells[a:b].sum()) <= cells_cap)
+
+        assert [a for a, _ in runs] == [0] + [b for _, b in runs[:-1]]
+        assert runs[-1][1] == n and all(a < b for a, b in runs)
+        for a, b in runs:
+            assert not any((u, v) in conflicts for u in range(a, b) for v in range(u + 1, b))
+            assert b - a == 1 or fits(a, b)
+        for (a, b), _ in zip(runs, runs[1:]):  # each run ends for a reason
+            assert any((u, b) in conflicts for u in range(a, b)) or not fits(a, b + 1)
+
+
+class TestBatchedPass:
+    def test_monotone_shrinking_and_mostly_batched(self, monkeypatch):
+        g = _batched_graph()
+        cfg = FitConfig(max_outer_iters=40, rng_seed=1, rel_improvement_tol=1e-6)
+        per_node, snapshots = [0], []
+        update_node, objective_ = solver.update_node, solver.objective
+
+        def counted(u, G, F, W, config, settled=None):
+            per_node[0] += settled is None or not settled[u]
+            return update_node(u, G, F, W, config, settled)
+
+        def snapshot(G, F, W, config):
+            snapshots.append(F.values.copy())
+            return objective_(G, F, W, config)
+
+        monkeypatch.setattr(solver, "update_node", counted)
+        monkeypatch.setattr(solver, "objective", snapshot)
+        result = fit(g, 3, cfg)
+        n, updated = g.num_nodes, result.nodes_updated
+        totals = [o.scaled_total for o in result.objective_trace]
+        assert all(b >= a for a, b in zip(totals, totals[1:]))
+        assert 2 * per_node[0] < sum(updated)
+        shrunk_in_row = 0
+        for i, count in enumerate(updated):
+            if count == n:
+                shrunk_in_row = 0
+                continue
+            # A shrunk pass updates exactly the nodes the pass before it moved.
+            moved = (snapshots[i] != snapshots[i - 1]).any(axis=1)
+            assert i > 0 and count == moved.sum() and 2 * count <= n
+            assert not _stalled(result, i - 1, 1e-6) or updated[i - 1] == n
+            shrunk_in_row += 1
+            assert shrunk_in_row < solver._FULL_PASS_PERIOD
+        assert n > min(updated)
+        assert updated[-1] == n or not result.converged
 
 
 class TestThresholdMemberships:
