@@ -36,15 +36,14 @@ class BuildDiagnostics:
     duplicate_attrs_dropped: int = 0
 
 
-def _csr(heads: np.ndarray, tails: np.ndarray, n: int):
-    """Index (head, tail) pairs as indptr/indices arrays, tails sorted per head."""
-    order = np.lexsort((tails, heads))
-    heads = heads[order]
-    tails = np.ascontiguousarray(tails[order])
+def _csr(heads: np.ndarray, tails: np.ndarray, n: int, width: int):
+    """Index distinct (head, tail) pairs, 0 <= head < n and 0 <= tail < width,
+    as indptr/indices arrays, tails sorted per head by one sort of pair keys."""
+    keys = pair_keys(heads, tails, width)
+    keys.sort()
     indptr = np.zeros(n + 1, dtype=np.int64)
-    if heads.size:
-        indptr[1:] = np.cumsum(np.bincount(heads, minlength=n))
-    return indptr, tails
+    np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
+    return indptr, keys % max(width, 1)
 
 
 def _gather(indptr: np.ndarray, indices: np.ndarray, heads: np.ndarray):
@@ -109,16 +108,16 @@ class AttributedGraph:
         self.unobserved_pairs = hidden_pairs
         self.unobserved_cells = hidden_cells
 
-        e, (pu, pv), (cu, ck) = self._edges, hidden_pairs.T, hidden_cells.T
+        e, (au, ak), (pu, pv), (cu, ck) = (self._edges, self._attr_pairs.T, hidden_pairs.T,
+                                           hidden_cells.T)
         self._adj_indptr, self._adj_indices = _csr(
-            np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]), n)
-        self._na_indptr, self._na_indices = _csr(self._attr_pairs[:, 0], self._attr_pairs[:, 1], n)
-        self._an_indptr, self._an_indices = _csr(self._attr_pairs[:, 1], self._attr_pairs[:, 0],
-                                                 max(K, 1))
+            np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]), n, n)
+        self._na_indptr, self._na_indices = _csr(au, ak, n, K)
+        self._an_indptr, self._an_indices = _csr(ak, au, max(K, 1), n)
         self._partner_indptr, self._partners = _csr(
-            np.concatenate([pu, pv]), np.concatenate([pv, pu]), n)
-        self._hidden_attr_indptr, self._hidden_attrs = _csr(cu, ck, n)
-        self._unobserved_indptr, self._unobserved_nodes = _csr(ck, cu, max(K, 1))
+            np.concatenate([pu, pv]), np.concatenate([pv, pu]), n, n)
+        self._hidden_attr_indptr, self._hidden_attrs = _csr(cu, ck, n, K)
+        self._unobserved_indptr, self._unobserved_nodes = _csr(ck, cu, max(K, 1), n)
         self.degrees = np.diff(self._adj_indptr)
         self.diagnostics = diagnostics if diagnostics is not None else BuildDiagnostics()
         for arr in (self._edges, self._attr_pairs, self._adj_indptr, self._adj_indices,

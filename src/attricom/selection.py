@@ -24,7 +24,9 @@ class HoldoutMask:
     twice; pair_obs and attr_obs are their observed values in graph, the
     graph the mask was made for. training_graph is graph without the
     reserved edges and attribute cells, with the reserved pairs and cells as
-    its unobserved entries; fit(graph, C, config, mask) fits it.
+    its unobserved entries; fit(graph, C, config, mask) fits it. The four
+    lists are read-only column views of training_graph.unobserved_pairs and
+    unobserved_cells, so each entry is stored once.
     """
 
     def __init__(self, G: AttributedGraph, pair_u, pair_v, attr_u, attr_k):
@@ -38,20 +40,24 @@ class HoldoutMask:
         if len(au) and (au.min() < 0 or au.max() >= n or ak.min() < 0 or ak.max() >= K):
             raise ValueError(f"attribute pairs must satisfy 0 <= u < {n}, 0 <= k < {K}")
         self.graph = G
-        self.pair_u, self.pair_v, self.attr_u, self.attr_k = pu, pv, au, ak
-
-        mask_keys = pair_keys(pu, pv, n)
-        cell_keys = pair_keys(au, ak, K)
-        edge_keys = pair_keys(G.edges[:, 0], G.edges[:, 1], n)
-        present_keys = pair_keys(G.attr_pairs[:, 0], G.attr_pairs[:, 1], K)
-        self.pair_obs = contains(edge_keys, mask_keys).astype(np.uint8)
-        self.attr_obs = contains(present_keys, cell_keys).astype(np.uint8)
-        train_edges = ~contains(np.sort(mask_keys), edge_keys)
-        train_attrs = ~contains(np.sort(cell_keys), present_keys)
+        pairs, cells = np.column_stack([pu, pv]), np.column_stack([au, ak])
+        self.pair_obs, train_edges = _split(G.edges, pairs, n)
+        self.attr_obs, train_attrs = _split(G.attr_pairs, cells, K)
         self.training_graph = AttributedGraph(
             n, K, G.edges[train_edges], G.attr_pairs[train_attrs],
-            unobserved_pairs=np.column_stack([pu, pv]),
-            unobserved_cells=np.column_stack([au, ak]))
+            unobserved_pairs=pairs, unobserved_cells=cells)
+        self.pair_u, self.pair_v = self.training_graph.unobserved_pairs.T
+        self.attr_u, self.attr_k = self.training_graph.unobserved_cells.T
+
+
+def _split(stored: np.ndarray, reserved: np.ndarray, width: int):
+    """(observed, kept): whether each reserved pair is among the sorted
+    stored pairs, as uint8, and which stored pairs are not reserved."""
+    stored_keys = pair_keys(stored[:, 0], stored[:, 1], width)
+    keys = pair_keys(reserved[:, 0], reserved[:, 1], width)
+    observed = contains(stored_keys, keys).astype(np.uint8)
+    keys.sort()
+    return observed, ~contains(keys, stored_keys)
 
 
 def _draw_distinct(rng, count: int, high: int, canonical=None) -> np.ndarray:
@@ -114,6 +120,7 @@ def make_holdout(G: AttributedGraph, fraction: float, seed: int) -> HoldoutMask:
     else:
         cells = _draw_distinct(rng, count, n * k)
     attr_u, attr_k = np.divmod(cells, k)
+    del cells  # not held while the mask builds its graph
     return HoldoutMask(G, pair_u, pair_v, attr_u, attr_k)
 
 

@@ -14,6 +14,10 @@ from .likelihood import _sigmoid
 from .solver import threshold_memberships
 
 
+# Pair cells per block of rows that planted_instance draws edges for at once.
+_BLOCK_CELLS = 1 << 16
+
+
 @dataclass(frozen=True)
 class ForestFireParams:
     n: int
@@ -69,7 +73,8 @@ def forest_fire(params: ForestFireParams) -> AttributedGraph:
     n = params.n
     out_links: list[list[int]] = [[] for _ in range(n)]
     in_links: list[list[int]] = [[] for _ in range(n)]
-    edges: list[tuple[int, int]] = []
+    heads: list[int] = []  # edge (heads[i], tails[i]) joins a burned node to its newcomer
+    tails: list[int] = []
 
     for w in range(1, n):
         ambassador = int(rng.integers(w))
@@ -95,12 +100,13 @@ def forest_fire(params: ForestFireParams) -> AttributedGraph:
                     visited.add(y)
                     frontier.append(y)
                     burned.append(y)
+        out_links[w] = burned
         for x in burned:
-            out_links[w].append(x)
             in_links[x].append(w)
-            edges.append((x, w))
+        heads += burned
+        tails += [w] * len(burned)
 
-    return build_graph(edges, [], n, 0)
+    return build_graph(np.array([heads, tails], dtype=np.int64).T, [], n, 0)
 
 
 def bernoulli_attributes(G: AttributedGraph, k: int, p: float,
@@ -141,15 +147,17 @@ def planted_instance(spec: PlantedSpec):
         W_values[np.arange(k), community_of_attr] = spec.weight_scale
         W_values[:, -1] = spec.bias
 
-    edge_rows = []
-    for u in range(n - 1):
-        dots = F_values[u + 1:] @ F_values[u]
-        p_edge = -np.expm1(-dots)
-        hits = np.flatnonzero(rng.random(n - 1 - u) < p_edge)
-        if len(hits):
-            edge_rows.append(np.column_stack([np.full(len(hits), u), u + 1 + hits]))
-    edges = (np.concatenate(edge_rows) if edge_rows
-             else np.zeros((0, 2), dtype=np.int64))
+    # One uniform draw per pair u < v, in row-major order (that of a loop over
+    # the rows), taken for blocks of rows of about _BLOCK_CELLS pairs at once.
+    blocks, a = [], 0
+    while a < n - 1:
+        b = min(n - 1, a + max(1, _BLOCK_CELLS // (n - a)))
+        upper = np.arange(a, n) > np.arange(a, b)[:, np.newaxis]
+        p_edge = -np.expm1(-(F_values[a:b] @ F_values[a:].T)[upper])
+        upper[upper] = rng.random(len(p_edge)) < p_edge
+        blocks.append(np.argwhere(upper) + a)
+        a = b
+    edges = np.concatenate(blocks)
 
     if k:
         z = F_values @ W_values[:, :-1].T + W_values[:, -1]

@@ -240,3 +240,38 @@ def random_instance(rng, max_n=20, max_c=4, max_k=6, edge_p=0.3, attr_p=0.4):
     F = AffiliationMatrix(rng.uniform(0.1, 2.0, size=(n, c)))
     W = AttributeWeights(rng.uniform(-1.5, 1.5, size=(k, c + 1)))
     return G, F, W
+
+
+def loop_planted_instance(spec):
+    """planted_instance's forward draw with one generator call per row of
+    node pairs (u, v > u); returns (edges, attr_pairs, F values, W values)."""
+    rng = np.random.default_rng(spec.seed)
+    n, c, k = spec.n, spec.c, spec.k
+    member = rng.random((n, c)) < spec.membership_prob
+    lonely = np.flatnonzero(~member.any(axis=1))
+    if len(lonely):
+        member[lonely, rng.integers(0, c, size=len(lonely))] = True
+    F = member.astype(np.float64) * spec.strength
+    W = np.zeros((k, c + 1))
+    if k:
+        W[np.arange(k), rng.integers(0, c, size=k)] = spec.weight_scale
+        W[:, -1] = spec.bias
+    edges = []
+    for u in range(n - 1):
+        p_edge = -np.expm1(-(F[u + 1:] @ F[u]))
+        hits = np.flatnonzero(rng.random(n - 1 - u) < p_edge)
+        edges += [(u, u + 1 + int(v)) for v in hits]
+    attrs = np.zeros((0, 2), dtype=np.int64)
+    if k:
+        z = F @ W[:, :-1].T + W[:, -1]
+        attrs = np.argwhere(rng.random((n, k)) < np.exp(-np.logaddexp(0.0, -z)))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2), attrs, F, W
+
+
+def lexsort_csr(heads, tails, n):
+    """(indptr, indices) of (head, tail) pairs: tails sorted per head by lexsort."""
+    order = np.lexsort((tails, heads))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for h in heads:
+        indptr[h + 1] += 1
+    return np.cumsum(indptr), tails[order]

@@ -2,11 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import attricom
 from attricom import (AffiliationMatrix, AttributedGraph, AttributeWeights,
                       CommunityCover, FitConfig, GraphBuildError, MAX_MEMBERSHIP,
                       build_graph, refresh_column_sums)
+from attricom.core import _csr
+from oracles import lexsort_csr
 
 
 class TestBuildGraph:
@@ -129,6 +133,55 @@ class TestNodeLists:
             for (counts, ids), lists in zip(t.lists_of(nodes), per_node, strict=True):
                 assert counts.tolist() == [len(x) for x in lists]
                 assert ids.tolist() == [int(v) for x in lists for v in x]
+
+
+class TestCsr:
+    @staticmethod
+    def _assert_matches_oracle(heads, tails, n, width):
+        indptr, indices = _csr(heads, tails, n, width)
+        want_indptr, want_indices = lexsort_csr(heads, tails, n)
+        assert indptr.dtype == indices.dtype == np.int64 and indices.flags.c_contiguous
+        assert np.array_equal(indptr, want_indptr)
+        assert np.array_equal(indices, want_indices)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 40), width=st.integers(0, 40),
+           fill=st.floats(0.0, 1.0), hub=st.booleans())
+    def test_matches_lexsort_oracle(self, seed, n, width, fill, hub):
+        rng = np.random.default_rng(seed)
+        cells = rng.random((n, width)) < fill
+        if hub:  # one head holds most pairs
+            cells[rng.integers(n)] = True
+            cells &= rng.random((n, 1)) < 0.2
+        heads, tails = np.nonzero(cells)
+        order = rng.permutation(len(heads))
+        self._assert_matches_oracle(heads[order], tails[order], n, width)
+
+    def test_edge_cases(self):
+        empty = np.zeros(0, dtype=np.int64)
+        self._assert_matches_oracle(empty, empty, 1, 0)  # no attributes
+        self._assert_matches_oracle(empty, empty, 5, 5)
+        self._assert_matches_oracle(np.array([3]), np.array([0]), 4, 1)
+        tails = np.random.default_rng(1).permutation(1000)
+        self._assert_matches_oracle(np.full(1000, 2), tails, 3, 1000)  # one hub head
+
+    def test_graph_indexes_match_oracle(self):
+        g = attricom.bernoulli_attributes(
+            attricom.forest_fire(attricom.ForestFireParams(n=300, seed=2)), 7, 0.3, seed=2)
+        t = attricom.make_holdout(g, 0.2, 1).training_graph
+        n, K = t.num_nodes, t.num_attrs
+        e, a, (pu, pv), (cu, ck) = t.edges, t.attr_pairs, t.unobserved_pairs.T, t.unobserved_cells.T
+        for (indptr, indices), (heads, tails, m) in (
+                ((t._adj_indptr, t._adj_indices),
+                 (np.r_[e[:, 0], e[:, 1]], np.r_[e[:, 1], e[:, 0]], n)),
+                ((t._na_indptr, t._na_indices), (a[:, 0], a[:, 1], n)),
+                ((t._an_indptr, t._an_indices), (a[:, 1], a[:, 0], K)),
+                ((t._partner_indptr, t._partners), (np.r_[pu, pv], np.r_[pv, pu], n)),
+                ((t._hidden_attr_indptr, t._hidden_attrs), (cu, ck, n)),
+                ((t._unobserved_indptr, t._unobserved_nodes), (ck, cu, K))):
+            want_indptr, want_indices = lexsort_csr(heads, tails, m)
+            assert np.array_equal(indptr, want_indptr)
+            assert np.array_equal(indices, want_indices)
 
 
 class TestUnobservedEntries:

@@ -98,6 +98,20 @@ class TestMakeHoldout:
             assert [a.tolist() for a in empty.unobserved_of(u)] == [[], []]
         assert all(empty.unobserved_nodes(k).tolist() == [] for k in range(g.num_attrs))
 
+    def test_reserved_entries_stored_once(self):
+        rng = np.random.default_rng(7)
+        g = _random_attributed(rng, n=30, k=5)
+        for mask in (make_holdout(g, 0.3, seed=2), HoldoutMask(g, [0, 8], [9, 9], [9], [1])):
+            train = mask.training_graph
+            assert np.shares_memory(mask.pair_u, train.unobserved_pairs)
+            assert np.shares_memory(mask.pair_v, train.unobserved_pairs)
+            assert np.shares_memory(mask.attr_u, train.unobserved_cells)
+            assert np.shares_memory(mask.attr_k, train.unobserved_cells)
+            assert np.array_equal(np.column_stack([mask.pair_u, mask.pair_v]),
+                                  train.unobserved_pairs)
+            assert np.array_equal(np.column_stack([mask.attr_u, mask.attr_k]),
+                                  train.unobserved_cells)
+
     def test_duplicate_pairs_rejected(self):
         g = build_graph([(0, 1)], [(0, 0)], 3, 2)
         with pytest.raises(ValueError):

@@ -1,11 +1,42 @@
 import math
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import attricom.synthetic as synthetic
 from attricom import (ForestFireParams, PlantedSpec, bernoulli_attributes,
                       forest_fire, planted_instance, remove_edges)
+from oracles import loop_planted_instance
+
+# The planted family of the acceptance tests and the benchmark.
+_PLANT = dict(c=4, k=16, membership_prob=0.25, strength=1.0, weight_scale=5.0, bias=-2.0)
+# Every literal PlantedSpec of tests/ and bench/ (the ends of each seed range;
+# the benchmark's first instance seeds at --seed 1), and a sparse n=3000 spec.
+LITERAL_SPECS = [
+    *(PlantedSpec(n=400, seed=s, **_PLANT) for s in (0, 19, 1016164991, 1099128568)),
+    *(PlantedSpec(n=300, seed=s, **_PLANT) for s in (0, 19, 1016164991)),
+    PlantedSpec(n=60, c=3, k=8, membership_prob=0.3, strength=1.2, weight_scale=3.0,
+                bias=-1.0, seed=5),
+    PlantedSpec(n=60, c=3, k=8, membership_prob=0.3, strength=1.2, weight_scale=3.0,
+                bias=-1.0, seed=19),
+    PlantedSpec(n=50, c=2, k=6, seed=3),
+    PlantedSpec(n=60, c=2, k=4, seed=1),
+    PlantedSpec(n=80, c=2, k=4, membership_prob=0.4, seed=2),
+    PlantedSpec(n=50, c=3, k=4, strength=3.0, seed=5),
+    PlantedSpec(n=60, c=4, k=0, membership_prob=0.08, strength=2.0, seed=0),
+    PlantedSpec(n=60, c=4, k=0, membership_prob=0.08, strength=2.0, seed=19),
+    PlantedSpec(n=300, c=3, k=8, weight_scale=0.0, bias=0.0, seed=7),
+    PlantedSpec(n=50, c=3, k=5, seed=13),
+    PlantedSpec(n=40, c=3, k=4, membership_prob=0.4, seed=3),
+    *(PlantedSpec(n=12, c=2, k=0, membership_prob=1.0, strength=0.5, seed=s)
+      for s in (0, 9999)),
+    PlantedSpec(n=2, c=1, k=0),
+    PlantedSpec(n=3000, c=6, k=30, membership_prob=0.2, strength=0.3, seed=0),
+]
 
 
 def _is_connected(G):
@@ -128,6 +159,32 @@ class TestPlantedInstance:
             hits += int(g.has_edge(3, 7))
         se = math.sqrt(p_edge * (1 - p_edge) / trials)
         assert abs(hits / trials - p_edge) <= 3 * se
+
+
+def _assert_planted_matches_oracle(spec):
+    graph, _, true_F, true_W = planted_instance(spec)
+    edges, attrs, F, W = loop_planted_instance(spec)
+    assert np.array_equal(graph.edges, edges)
+    assert np.array_equal(graph.attr_pairs, attrs)
+    assert np.array_equal(true_F.values, F) and np.array_equal(true_W.values, W)
+
+
+class TestPlantedDraws:
+    @pytest.mark.parametrize("spec", LITERAL_SPECS, ids=lambda s: f"n{s.n}c{s.c}k{s.k}s{s.seed}")
+    def test_literal_specs_match_row_loop(self, spec):
+        _assert_planted_matches_oracle(spec)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 150), c=st.integers(1, 6), k=st.integers(0, 8),
+           strength=st.sampled_from([0.3, 1.0, 1.2, 2.0, 3.0]),
+           membership_prob=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+           seed=st.integers(0, 2**31 - 2), cap=st.sampled_from([None, 1, 7, 150, 1000]))
+    def test_matches_row_loop(self, n, c, k, strength, membership_prob, seed, cap):
+        spec = PlantedSpec(n=n, c=c, k=k, membership_prob=membership_prob,
+                           strength=strength, seed=seed)
+        # Small caps split the pairs into many blocks, one row each at cap 1.
+        with mock.patch.object(synthetic, "_BLOCK_CELLS", cap or synthetic._BLOCK_CELLS):
+            _assert_planted_matches_oracle(spec)
 
 
 class TestRemoveEdges:
