@@ -167,6 +167,7 @@ def cmd_detect(args) -> int:
          f"K={graph.num_attrs}")
 
     config = _config_from(args)
+    delta = default_threshold(graph.num_nodes, args.delta)  # checked before any fit
     manifest: dict[str, object] = {
         "command": "detect",
         "edges_file": args.edges,
@@ -210,7 +211,6 @@ def cmd_detect(args) -> int:
     result = fit(graph, num_communities, config)
     t_fit = time.perf_counter() - t0
 
-    delta = args.delta if args.delta is not None else default_threshold(graph.num_nodes)
     cover = threshold_memberships(result.F, delta=delta)
 
     t0 = time.perf_counter()

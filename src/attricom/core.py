@@ -151,14 +151,6 @@ class AttributedGraph:
         """Sorted neighbor ids of node u (read-only view)."""
         return self._adj_indices[self._adj_indptr[u]:self._adj_indptr[u + 1]]
 
-    def degree(self, u: int) -> int:
-        return int(self.degrees[u])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        i = np.searchsorted(nbrs, v)
-        return bool(i < len(nbrs) and nbrs[i] == v)
-
     def node_attr_ids(self, u: int) -> np.ndarray:
         """Sorted attribute ids present on node u."""
         return self._na_indices[self._na_indptr[u]:self._na_indptr[u + 1]]
@@ -166,11 +158,6 @@ class AttributedGraph:
     def attr_node_ids(self, k: int) -> np.ndarray:
         """Sorted node ids carrying attribute k."""
         return self._an_indices[self._an_indptr[k]:self._an_indptr[k + 1]]
-
-    def has_attr(self, u: int, k: int) -> bool:
-        ids = self.node_attr_ids(u)
-        i = np.searchsorted(ids, k)
-        return bool(i < len(ids) and ids[i] == k)
 
     def unobserved_of(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         """(partners, attrs): the sorted ids of the nodes v whose pair with u

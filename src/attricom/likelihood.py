@@ -19,7 +19,6 @@ _LOG_LO = float(np.log(PROB_CLAMP))
 _LOG_HI = float(np.log1p(-PROB_CLAMP))
 
 _EDGE_CHUNK = 1 << 18
-_ATTR_CELL_CHUNK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -107,42 +106,30 @@ def log_lik_graph(G: AttributedGraph, F: AffiliationMatrix) -> float:
     return ll_edges - nonedge_dot
 
 
-def log_lik_attr(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights) -> float:
-    """Bernoulli log-likelihood of all observed node-attribute cells.
+def _attr_loglik(k: int, G: AttributedGraph, F: AffiliationMatrix, w: np.ndarray) -> float:
+    """Bernoulli log-likelihood of attribute k's observed cells under its
+    weights w: log Q on the nodes carrying k, log(1 - Q) on the other nodes,
+    and nothing on the nodes whose k cell is unobserved.
 
-    Probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] before logs.
+    This is the one definition of an attribute's term: log_lik_attr sums it
+    over the attributes and the solver's weight step scores its trials by it.
     """
-    K = G.num_attrs
-    if K == 0:
-        return 0.0
-    V = F.values
-    w_head = W.values[:, :-1]
-    w_bias = W.values[:, -1]
-    pairs = G.attr_pairs
+    z = F.values @ w[:-1] + w[-1]
+    terms = _log_1q(z)
+    ones = G.attr_node_ids(k)
+    if len(ones):
+        terms[ones] = _log_q(z[ones])
+    terms[G.unobserved_nodes(k)] = 0.0
+    return float(terms.sum())
 
-    # Unobserved cells are never present in G; their absent-cell terms are
-    # removed in one canonical order, for the reason given in log_lik_graph.
-    hidden_u, hidden_k = G.unobserved_cells.T
-    z = np.einsum("ij,ij->i", V[hidden_u], w_head[hidden_k]) + w_bias[hidden_k]
-    ll = 0.0
-    ll -= float(_log_1q(z).sum())
 
-    rows_per_chunk = max(1, _ATTR_CELL_CHUNK // K)
-    p = 0  # cursor into pairs, which are sorted by node id
-    for start in range(0, G.num_nodes, rows_per_chunk):
-        stop = min(start + rows_per_chunk, G.num_nodes)
-        z = V[start:stop] @ w_head.T + w_bias
-        log_q = _log_q(z)
-        log_1q = _log_1q(z)
-        ll += float(log_1q.sum())
-        p_end = int(np.searchsorted(pairs[:, 0], stop, side="left"))
-        if p_end > p:
-            us = pairs[p:p_end, 0] - start
-            ks = pairs[p:p_end, 1]
-            ll += float((log_q[us, ks] - log_1q[us, ks]).sum())
-        p = p_end
+def log_lik_attr(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights) -> float:
+    """Bernoulli log-likelihood of all observed node-attribute cells, attribute
+    by attribute, with memory in proportion to the nodes.
 
-    return ll
+    Probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] in log space.
+    """
+    return sum((_attr_loglik(k, G, F, W.values[k]) for k in range(G.num_attrs)), 0.0)
 
 
 class _NodeState:

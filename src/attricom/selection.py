@@ -11,7 +11,7 @@ import numpy as np
 
 from . import solver
 from .core import AttributedGraph, FitConfig, contains, distinct_keys, pair_keys
-from .likelihood import PROB_CLAMP, _edge_log_terms, _sigmoid
+from .likelihood import _edge_log_terms, _log_1q, _log_q
 
 _SMALL_N = 2000
 _DENSE_ATTR_LIMIT = 5_000_000
@@ -133,27 +133,22 @@ def holdout_loglik(G: AttributedGraph, F, W, mask: HoldoutMask,
     if mask.graph is not G:
         raise ValueError("holdout mask was made for another graph")
     V = F.values
-    total = 0.0
+    # Dot products column by column, so that no (pairs, C) array is formed.
+    dots = np.zeros(len(mask.pair_u))
+    for c in range(F.num_communities):
+        dots += V[mask.pair_u, c] * V[mask.pair_v, c]
+    is_edge = mask.pair_obs.astype(bool)
+    # log(1 - P_uv) = -F_u . F_v on a non-edge.
+    lg = float(_edge_log_terms(dots[is_edge]).sum()) - float(dots[~is_edge].sum())
 
-    if len(mask.pair_u):
-        dots = np.einsum("ij,ij->i", V[mask.pair_u], V[mask.pair_v])
-        is_edge = mask.pair_obs.astype(bool)
-        lg = 0.0
-        if is_edge.any():
-            lg += float(_edge_log_terms(dots[is_edge]).sum())
-        if (~is_edge).any():
-            lg -= float(dots[~is_edge].sum())  # log(1 - P_uv) = -F_u . F_v
-        total += (1.0 - config.alpha) * lg
-
-    if len(mask.attr_u) and G.num_attrs:
-        w_head = W.values[:, :-1]
-        w_bias = W.values[:, -1]
-        z = np.einsum("ij,ij->i", V[mask.attr_u], w_head[mask.attr_k]) + w_bias[mask.attr_k]
-        q = np.clip(_sigmoid(z), PROB_CLAMP, 1.0 - PROB_CLAMP)
-        x = mask.attr_obs.astype(np.float64)
-        total += config.alpha * float((x * np.log(q) + (1.0 - x) * np.log1p(-q)).sum())
-
-    return total
+    # Attribute by attribute, with the clamped log-probabilities of training.
+    lx = 0.0
+    for k in range(G.num_attrs):
+        nodes = mask.training_graph.unobserved_nodes(k)
+        z = V[nodes] @ W.values[k, :-1] + W.values[k, -1]
+        present = contains(G.attr_node_ids(k), nodes)
+        lx += float(np.where(present, _log_q(z), _log_1q(z)).sum())
+    return (1.0 - config.alpha) * lg + config.alpha * lx
 
 
 def choose_num_communities(G: AttributedGraph, candidates, config: FitConfig,

@@ -13,9 +13,9 @@ import numpy as np
 from .core import (MAX_MEMBERSHIP, AffiliationMatrix, AttributedGraph,
                    AttributeWeights, CommunityCover, FitConfig,
                    refresh_column_sums)
-from .likelihood import (ObjectiveValue, _batch_grad, _batch_local_objectives,
-                         _BatchState, _grad_from_state, _local_objectives,
-                         _log_1q, _log_q, _node_state, grad_attr_weights,
+from .likelihood import (ObjectiveValue, _attr_loglik, _batch_grad,
+                         _batch_local_objectives, _BatchState, _grad_from_state,
+                         _local_objectives, _node_state, grad_attr_weights,
                          objective)
 from .seeding import init_affiliations
 
@@ -186,25 +186,19 @@ def _node_pass(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights,
             settled[u] = not update_node(u, G, F, W, config, screen)
 
 
-def _attr_objective(k, G, F, w, config):
-    """alpha-scaled log-likelihood of attribute k's observed cells minus its l1 cost."""
-    z = F.values @ w[:-1] + w[-1]
-    terms = _log_1q(z)
-    ones = G.attr_node_ids(k)
-    if len(ones):
-        terms[ones] = _log_q(z[ones])
-    terms[G.unobserved_nodes(k)] = 0.0
-    return config.alpha * float(terms.sum()) - config.lam * float(np.abs(w[:-1]).sum())
-
-
 def update_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
                         W: AttributeWeights, config: FitConfig) -> np.ndarray:
     """One backtracking subgradient step on attribute k's logistic weights.
 
     The ascent direction is alpha * data-gradient minus lam * sign(w) on the
     non-bias coordinates with sign(0) = 0; the bias is unpenalized. Accepts
-    and shrinks exactly as update_node, on the per-attribute objective.
+    and shrinks exactly as update_node, on the per-attribute objective
+    alpha * likelihood._attr_loglik - lam * ||w||_1 (bias excluded).
     """
+    def penalized(w):
+        l1 = config.lam * float(np.abs(w[:-1]).sum())
+        return config.alpha * _attr_loglik(k, G, F, w) - l1
+
     w_old = W.values[k].copy()
     d = config.alpha * grad_attr_weights(k, G, F, W)
     d[:-1] -= config.lam * np.sign(w_old[:-1])
@@ -212,10 +206,10 @@ def update_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
     if d_norm2 == 0.0:
         return w_old
 
-    base = _attr_objective(k, G, F, w_old, config)
+    base = penalized(w_old)
     for t in _STEPS:
         cand = w_old + t * d
-        if _attr_objective(k, G, F, cand, config) - base >= _ARMIJO * t * d_norm2:
+        if penalized(cand) - base >= _ARMIJO * t * d_norm2:
             W.values[k] = cand
             return cand
     return w_old
@@ -290,34 +284,33 @@ def fit(G: AttributedGraph, C: int, config: FitConfig | None = None,
     return FitResult(F, W, trace, iterations, converged, iter_seconds, nodes_updated)
 
 
-def default_threshold(num_nodes: int) -> float:
-    """Membership cutoff at which one shared community alone already implies
-    an edge probability of 1/N."""
+def default_threshold(num_nodes: int, delta: float | None = None) -> float:
+    """The membership cutoff of threshold_memberships for num_nodes nodes:
+    delta when given, which must be > 0 (at zero every node would join every
+    community), else the cutoff at which one shared community alone already
+    implies an edge probability of 1/N. Needs at least two nodes."""
     if num_nodes < 2:
-        raise ValueError("threshold needs at least two nodes")
-    return math.sqrt(-math.log1p(-1.0 / num_nodes))
+        raise ValueError("thresholding needs at least two nodes")
+    if delta is None:
+        return math.sqrt(-math.log1p(-1.0 / num_nodes))
+    if delta <= 0.0:
+        raise ValueError("delta override must be > 0")
+    return delta
 
 
 def threshold_memberships(F: AffiliationMatrix, delta: float | None = None) -> CommunityCover:
-    """Binarize memberships at delta (default: the 1/N edge-probability cutoff).
+    """Binarize memberships at delta (default: the 1/N edge-probability cutoff;
+    see default_threshold).
 
-    Node u joins community c iff F[u, c] >= delta, so delta must be > 0: at
-    zero every node would join every community. The cover is ordered by
+    Node u joins community c iff F[u, c] >= delta. The cover is ordered by
     descending size, then ascending member ids, for deterministic output;
     CommunityCover drops empty and repeated member sets.
     """
-    n = F.num_nodes
-    if delta is None:
-        delta = default_threshold(n)
-    elif n < 2:
-        raise ValueError("thresholding needs at least two nodes")
-    elif delta <= 0.0:
-        raise ValueError("delta override must be > 0")
-
+    delta = default_threshold(F.num_nodes, delta)
     member = F.values >= delta
     columns = [np.flatnonzero(member[:, c]) for c in range(F.num_communities)]
     columns.sort(key=lambda ids: (-len(ids), ids.tolist()))
-    return CommunityCover(columns, n)
+    return CommunityCover(columns, F.num_nodes)
 
 
 def rank_attributes(W: AttributeWeights) -> list[tuple[int, float]]:

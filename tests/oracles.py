@@ -16,6 +16,14 @@ def sigmoid(z):
     return e / (1.0 + e)
 
 
+def has_edge(G, u, v):
+    return bool((G.neighbors(u) == v).any())
+
+
+def has_attr(G, u, k):
+    return bool((G.node_attr_ids(u) == k).any())
+
+
 def clamp_prob(q, lo=1e-12):
     return min(max(q, lo), 1.0 - lo)
 
@@ -28,7 +36,7 @@ def naive_log_lik_graph(G, F, guard=1e-10, masked=frozenset()):
             if (u, v) in masked:
                 continue
             dot = float(V[u] @ V[v])
-            if G.has_edge(u, v):
+            if has_edge(G, u, v):
                 total += math.log(-math.expm1(-max(dot, guard)))
             else:
                 total -= dot
@@ -44,7 +52,7 @@ def naive_log_lik_attr(G, F, W, masked=frozenset()):
                 continue
             w = W.values[k]
             q = clamp_prob(sigmoid(float(w[:-1] @ V[u]) + float(w[-1])))
-            if G.has_attr(u, k):
+            if has_attr(G, u, k):
                 total += math.log(q)
             else:
                 total += math.log(1.0 - q)
@@ -63,7 +71,7 @@ def naive_grad_node(u, G, F, W, alpha, guard=1e-10, masked_pairs=frozenset(),
         if (a, b) in masked_pairs:
             continue
         dot = float(V[u] @ V[v])
-        if G.has_edge(u, v):
+        if has_edge(G, u, v):
             if dot > guard:
                 g_graph += V[v] * (math.exp(-dot) / (1.0 - math.exp(-dot)))
         else:
@@ -74,7 +82,7 @@ def naive_grad_node(u, G, F, W, alpha, guard=1e-10, masked_pairs=frozenset(),
             continue
         w = W.values[k]
         q = sigmoid(float(w[:-1] @ V[u]) + float(w[-1]))
-        x = 1.0 if G.has_attr(u, k) else 0.0
+        x = 1.0 if has_attr(G, u, k) else 0.0
         g_attr += (x - q) * w[:-1]
     return (1.0 - alpha) * g_graph + alpha * g_attr
 
@@ -87,7 +95,7 @@ def naive_grad_attr_weights(k, G, F, W, masked=frozenset()):
             continue
         w = W.values[k]
         q = sigmoid(float(w[:-1] @ V[u]) + float(w[-1]))
-        x = 1.0 if G.has_attr(u, k) else 0.0
+        x = 1.0 if has_attr(G, u, k) else 0.0
         g[:-1] += (x - q) * V[u]
         g[-1] += x - q
     return g
@@ -110,7 +118,7 @@ def naive_conductance(G, members):
     for u, v in G.edges:
         if (int(u) in members) != (int(v) in members):
             cut += 1
-    vol = sum(G.degree(u) for u in members)
+    vol = sum(int(G.degrees[u]) for u in members)
     denom = min(vol, 2 * G.num_edges - vol)
     if denom == 0:
         return 1.0

@@ -119,10 +119,25 @@ class TestDetect:
                    "-o", str(tmp_path / "x")])
         assert rc == 2
 
-    def test_nonpositive_delta_exits_2(self, tmp_path, clique_edges):
-        rc = main(["detect", "-i", str(clique_edges), "-c", "2", "--delta", "0",
-                   "-o", str(tmp_path / "x")])
-        assert rc == 2
+    def test_nonpositive_delta_exits_2(self, tmp_path, clique_edges, monkeypatch):
+        # The threshold is checked before any fit, so a bad one costs none.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the threshold was checked")
+
+        monkeypatch.setattr("attricom.cli.fit", no_fit)
+        monkeypatch.setattr("attricom.cli.choose_num_communities", no_fit)
+        for communities in ("2", "auto"):
+            rc = main(["detect", "-i", str(clique_edges), "-c", communities,
+                       "--delta", "0", "-o", str(tmp_path / "x")])
+            assert rc == 2
+        # A one-node graph has no threshold, default or given.
+        edges, attrs = tmp_path / "one.edges.tsv", tmp_path / "one.attrs.tsv"
+        edges.write_text("")
+        attrs.write_text("#1\t1\n0\t0\n")
+        for delta in ([], ["--delta", "0.5"]):
+            rc = main(["detect", "-i", str(edges), "-a", str(attrs), "-c", "2", *delta,
+                       "-o", str(tmp_path / "x")])
+            assert rc == 2
 
     def test_nonconvergence_still_writes(self, tmp_path, clique_edges):
         out = tmp_path / "run"

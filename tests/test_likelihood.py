@@ -92,8 +92,8 @@ class TestLogLikAttr:
                 naive_log_lik_attr(G, F, W), abs=1e-12)
 
     def test_permuted_pairs_beyond_one_chunk(self):
-        # 5000 * 450 cells exceed one 2**21-cell chunk, so the pairs are read
-        # chunk by chunk through a cursor that needs them sorted by node.
+        # The graph sorts the pairs it stores, so the order they are given in
+        # cannot change the likelihood, here over 5000 * 450 cells.
         rng = np.random.default_rng(9)
         n, k, c = 5000, 450, 3
         pairs = np.argwhere(rng.random((n, k)) < 0.01)

@@ -6,9 +6,9 @@ import pytest
 
 from attricom import (AffiliationMatrix, AttributeWeights, FitConfig,
                       HoldoutMask, build_graph, choose_num_communities, fit,
-                      holdout_loglik, make_holdout)
+                      holdout_loglik, log_lik_attr, make_holdout)
 
-from oracles import naive_log_lik_attr, naive_log_lik_graph
+from oracles import has_attr, has_edge, naive_log_lik_attr, naive_log_lik_graph
 
 
 def _empty_mask(g):
@@ -29,6 +29,24 @@ def _random_attributed(rng, n=20, c=2, k=3):
              if rng.random() < -np.expm1(-float(F[u] @ F[v]))]
     attrs = [(u, a) for u in range(n) for a in range(k) if rng.random() < 0.4]
     return build_graph(edges, attrs, n, k)
+
+
+def _sparse_20k(rng):
+    """20,000 nodes by 500 attributes, 10**7 cells with 2% of them present,
+    and about 100,000 edges."""
+    n, k = 20_000, 500
+    cells = np.unique(rng.integers(n * k, size=n * k // 50))
+    return build_graph(rng.integers(n, size=(100_000, 2)),
+                       np.column_stack(np.divmod(cells, k)), n, k)
+
+
+def _traced(call):
+    """call()'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestMakeHoldout:
@@ -65,9 +83,9 @@ class TestMakeHoldout:
         g = _random_attributed(rng)
         mask = make_holdout(g, 0.3, seed=3)
         for u, v, obs in zip(mask.pair_u, mask.pair_v, mask.pair_obs):
-            assert obs == int(g.has_edge(int(u), int(v)))
+            assert obs == int(has_edge(g, int(u), int(v)))
         for u, k, obs in zip(mask.attr_u, mask.attr_k, mask.attr_obs):
-            assert obs == int(g.has_attr(int(u), int(k)))
+            assert obs == int(has_attr(g, int(u), int(k)))
 
     def test_accessors_match_pair_arrays(self):
         rng = np.random.default_rng(6)
@@ -145,7 +163,7 @@ class TestMakeHoldout:
         assert n_edges == round(0.1 * g.num_edges)
         assert len(mask.pair_u) == 2 * n_edges  # equal count of non-edges
         for u, v, obs in zip(mask.pair_u, mask.pair_v, mask.pair_obs):
-            assert obs == int(g.has_edge(int(u), int(v)))
+            assert obs == int(has_edge(g, int(u), int(v)))
 
     def test_large_graph_pairs_canonical_distinct_and_deterministic(self):
         rng = np.random.default_rng(3)
@@ -188,26 +206,17 @@ class TestMakeHoldout:
         assert len(cells) == len(mask.attr_u) == round(0.4 * 30 * 5)
         assert ((0 <= mask.attr_k) & (mask.attr_k < 5)).all()
         for u, k, obs in zip(mask.attr_u, mask.attr_k, mask.attr_obs):
-            assert obs == int(g.has_attr(int(u), int(k)))
+            assert obs == int(has_attr(g, int(u), int(k)))
         again = make_holdout(g, 0.4, seed=2)
         assert np.array_equal(mask.attr_u, again.attr_u)
         assert np.array_equal(mask.attr_k, again.attr_k)
 
     def test_memory_grows_with_stored_pairs_not_cells(self):
-        # 20,000 nodes by 500 attributes is 10**7 cells, 2% of them present.
         # A held-out graph stores its unobserved entries per node, so a mask
         # costs memory in proportion to the pairs, not to the cells.
-        rng = np.random.default_rng(11)
-        n, k = 20_000, 500
-        cells = np.unique(rng.integers(n * k, size=n * k // 50))
-        g = build_graph(rng.integers(n, size=(100_000, 2)),
-                        np.column_stack(np.divmod(cells, k)), n, k)
-        tracemalloc.start()
-        try:
-            mask = make_holdout(g, 0.01, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        g = _sparse_20k(np.random.default_rng(11))
+        n, k = g.num_nodes, g.num_attrs
+        mask, peak = _traced(lambda: make_holdout(g, 0.01, seed=3))
         assert len(mask.attr_u) == n * k // 100
         assert peak < 5 * n * k
 
@@ -233,9 +242,9 @@ class TestHoldoutLoglik:
         F = AffiliationMatrix(rng.uniform(0.1, 1.5, size=(8, 2)))
         W = AttributeWeights(rng.uniform(-1, 1, size=(2, 3)))
         us, vs = np.triu_indices(8, 1)
-        obs = np.array([int(g.has_edge(int(u), int(v))) for u, v in zip(us, vs)])
+        obs = np.array([int(has_edge(g, int(u), int(v))) for u, v in zip(us, vs)])
         au, ak = np.divmod(np.arange(8 * 2), 2)
-        aobs = np.array([int(g.has_attr(int(u), int(k))) for u, k in zip(au, ak)])
+        aobs = np.array([int(has_attr(g, int(u), int(k))) for u, k in zip(au, ak)])
         mask = HoldoutMask(g, us, vs, au, ak)
         assert mask.pair_obs.tolist() == obs.tolist()
         assert mask.attr_obs.tolist() == aobs.tolist()
@@ -255,6 +264,15 @@ class TestHoldoutLoglik:
             holdout_loglik(other, F, W, mask, FitConfig())
         assert holdout_loglik(g, F, W, mask, FitConfig()) < 0.0
 
+    def test_saturated_cells_clamped_as_in_training(self):
+        # z = 40 saturates both cells: the present one scores log(1 - 1e-12)
+        # and the absent one log(1e-12), as the training objective does.
+        g = build_graph([], [(0, 0)], 2, 1)
+        F = AffiliationMatrix([[1.0], [1.0]])
+        W = AttributeWeights([[40.0, 0.0]])
+        mask = HoldoutMask(g, [], [], [0, 1], [0, 0])
+        assert holdout_loglik(g, F, W, mask, FitConfig()) == 0.5 * log_lik_attr(g, F, W)
+
     def test_never_positive(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -263,6 +281,32 @@ class TestHoldoutLoglik:
             F = AffiliationMatrix(rng.uniform(0, 2, size=(15, 2)))
             W = AttributeWeights(rng.uniform(-2, 2, size=(g.num_attrs, 3)))
             assert holdout_loglik(g, F, W, mask, FitConfig()) <= 0.0
+
+
+class TestMemoryAtScale:
+    """The attribute term and the held-out score need memory in proportion to
+    the nodes times the communities, not to the 10**6 reserved cells of a
+    held-out graph of 20,000 nodes by 500 attributes."""
+
+    @pytest.fixture(scope="class")
+    def heldout(self):
+        rng = np.random.default_rng(11)
+        g = _sparse_20k(rng)
+        mask = make_holdout(g, 0.1, seed=3)
+        F = AffiliationMatrix(rng.uniform(0.0, 1.0, size=(g.num_nodes, 5)))
+        W = AttributeWeights(rng.uniform(-1.0, 1.0, size=(g.num_attrs, 6)))
+        return g, mask, F, W
+
+    def test_log_lik_attr_peak_in_nodes(self, heldout):
+        g, mask, F, W = heldout
+        assert len(mask.attr_u) == g.num_nodes * g.num_attrs // 10
+        _, peak = _traced(lambda: log_lik_attr(mask.training_graph, F, W))
+        assert peak < 8 * 8 * F.values.size  # eight float64 per node and community
+
+    def test_holdout_loglik_peak_in_nodes(self, heldout):
+        g, mask, F, W = heldout
+        _, peak = _traced(lambda: holdout_loglik(g, F, W, mask, FitConfig()))
+        assert peak < 8 * 8 * F.values.size
 
 
 class TestMaskedTraining:

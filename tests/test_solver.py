@@ -14,10 +14,10 @@ from attricom import (MAX_MEMBERSHIP, AffiliationMatrix, AttributeWeights,
                       init_affiliations, make_holdout, match_score, objective,
                       rank_attributes, refresh_column_sums, threshold_memberships,
                       update_attr_weights, update_node)
-from attricom.likelihood import _local_objectives, _node_state
-from attricom.solver import _attr_objective, _node_runs, _propose_batch
+from attricom.likelihood import _attr_loglik, _local_objectives, _node_state
+from attricom.solver import _node_runs, _propose_batch
 
-from oracles import naive_log_lik_attr
+from oracles import clamp_prob, has_attr, naive_log_lik_attr, sigmoid
 
 TWO_CLIQUES = ([(u, v) for u in range(5) for v in range(u + 1, 5)]
                + [(u, v) for u in range(5, 10) for v in range(u + 1, 10)])
@@ -161,20 +161,25 @@ class TestUpdateAttrWeights:
             last = current
 
     def test_armijo_objective_matches_naive(self):
+        # The weight step scores its trials by alpha * _attr_loglik - lam * ||w||_1.
         rng = np.random.default_rng(4)
         g = _planted_like(rng, n=12, k=2)
         F = AffiliationMatrix(rng.uniform(0, 1.5, size=(12, 2)))
         W = AttributeWeights(rng.uniform(-1, 1, size=(2, 3)))
         cfg = FitConfig(lam=0.8, alpha=0.6)
-        for k in range(2):
-            got = _attr_objective(k, g, F, W.values[k], cfg)
+
+        def naive(k, w):
             per_attr = sum(
-                (math.log if g.has_attr(u, k) else (lambda q: math.log(1 - q)))(
-                    min(max(1 / (1 + math.exp(-(float(W.values[k][:-1] @ F.values[u])
-                                                + W.values[k][-1]))), 1e-12), 1 - 1e-12))
+                (math.log if has_attr(g, u, k) else (lambda q: math.log(1 - q)))(
+                    clamp_prob(sigmoid(float(w[:-1] @ F.values[u]) + float(w[-1]))))
                 for u in range(g.num_nodes))
-            want = 0.6 * per_attr - 0.8 * float(np.abs(W.values[k][:-1]).sum())
-            assert got == pytest.approx(want, abs=1e-10)
+            return per_attr, 0.6 * per_attr - 0.8 * float(np.abs(w[:-1]).sum())
+
+        for k in range(2):
+            per_attr, before = naive(k, W.values[k].copy())
+            assert _attr_loglik(k, g, F, W.values[k]) == pytest.approx(per_attr, abs=1e-10)
+            w = update_attr_weights(k, g, F, W, cfg)
+            assert naive(k, w)[1] > before
 
 
 class TestFit:
