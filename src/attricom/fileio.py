@@ -9,10 +9,13 @@ Community file one community per line, node ids tab-separated; lines ordered
 Weights file   one line per attribute: id, per-community weights, bias,
                9 significant digits.
 Manifest       flat "key<TAB>value" lines, one per entry.
+
+Files are UTF-8; a byte-order mark at the start of an input file is skipped.
 """
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import warnings
 
@@ -53,7 +56,7 @@ def _read_pair_lines(path):
     as dims (None without one), parsed line by line."""
     pairs = []
     dims = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.rstrip("\r\n")
             if not line.strip():
@@ -82,7 +85,7 @@ def _load_pairs(path):
     the line reader, which reports the offending line.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     line_start_hashes = data.startswith(b"#") + data.count(b"\n#") + data.count(b"\r#")
     if data.count(b"#") != line_start_hashes:
         return None
@@ -90,7 +93,7 @@ def _load_pairs(path):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             pairs = np.loadtxt(path, dtype=np.int64, delimiter="\t", comments="#",
-                               ndmin=2, encoding="utf-8")
+                               ndmin=2, encoding="utf-8-sig")
     except (ValueError, OverflowError):
         return None
     if pairs.size == 0:
@@ -104,7 +107,7 @@ def _read_pairs(path):
     if pairs is None:
         lines, dims = _read_pair_lines(path)
         return np.array(lines, dtype=np.int64).reshape(-1, 2), dims
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         first = fh.readline().rstrip("\r\n")
     return pairs, _parse_header(first) if first.startswith("#") else None
 
@@ -143,7 +146,7 @@ def write_community_file(path, cover: CommunityCover) -> None:
 def read_community_file(path) -> list[list[int]]:
     """Communities as id lists; build a CommunityCover with the caller's universe."""
     communities = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.rstrip("\r\n")
             if not line.strip() or line.startswith("#"):
@@ -163,7 +166,7 @@ def write_weights_file(path, W: AttributeWeights) -> None:
 def read_weights_file(path) -> AttributeWeights:
     rows = []
     width = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.rstrip("\r\n")
             if not line.strip() or line.startswith("#"):
@@ -197,7 +200,7 @@ def write_manifest(path, entries: dict) -> None:
 
 def read_manifest(path) -> dict[str, str]:
     entries = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.rstrip("\r\n")
             if not line:

@@ -18,8 +18,6 @@ PROB_CLAMP = 1e-12
 _LOG_LO = float(np.log(PROB_CLAMP))
 _LOG_HI = float(np.log1p(-PROB_CLAMP))
 
-_EDGE_CHUNK = 1 << 18
-
 
 @dataclass(frozen=True)
 class ObjectiveValue:
@@ -74,6 +72,19 @@ def _edge_log_terms(dots: np.ndarray) -> np.ndarray:
     return np.log(-np.expm1(-np.maximum(dots, MIN_DOT_GUARD)))
 
 
+def _pair_dots(V: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """F_u . F_v for each row (u, v) of pairs, given V = F.values.
+
+    One community at a time from a contiguous copy of V's columns, so that
+    no (pairs, C) array is formed.
+    """
+    dots = np.zeros(len(pairs))
+    u, v = pairs[:, 0], pairs[:, 1]
+    for col in V.T.copy():
+        dots += col[u] * col[v]
+    return dots
+
+
 def log_lik_graph(G: AttributedGraph, F: AffiliationMatrix) -> float:
     """Graph log-likelihood over the observed unordered node pairs.
 
@@ -89,21 +100,10 @@ def log_lik_graph(G: AttributedGraph, F: AffiliationMatrix) -> float:
     # Unobserved pairs are never edges of G; all of them are accounted for
     # against the pair total in one canonical order, so the result is
     # bit-identical no matter which of them are edges of the full data.
-    hidden = G.unobserved_pairs
-    dots = np.einsum("ij,ij->i", V[hidden[:, 0]], V[hidden[:, 1]])
-    hidden_dot_sum = float(dots.sum())
-
-    edges = G.edges
-    ll_edges = 0.0
-    edge_dot_sum = 0.0
-    for start in range(0, edges.shape[0], _EDGE_CHUNK):
-        chunk = edges[start:start + _EDGE_CHUNK]
-        dots = np.einsum("ij,ij->i", V[chunk[:, 0]], V[chunk[:, 1]])
-        edge_dot_sum += float(dots.sum())
-        ll_edges += float(_edge_log_terms(dots).sum())
-
-    nonedge_dot = total_pair_dot - edge_dot_sum - hidden_dot_sum
-    return ll_edges - nonedge_dot
+    hidden_dot_sum = float(_pair_dots(V, G.unobserved_pairs).sum())
+    dots = _pair_dots(V, G.edges)
+    nonedge_dot = total_pair_dot - float(dots.sum()) - hidden_dot_sum
+    return float(_edge_log_terms(dots).sum()) - nonedge_dot
 
 
 def _attr_loglik(k: int, G: AttributedGraph, F: AffiliationMatrix, w: np.ndarray) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import solver
 from .core import AttributedGraph, FitConfig, contains, distinct_keys, pair_keys
-from .likelihood import _edge_log_terms, _log_1q, _log_q
+from .likelihood import _edge_log_terms, _log_1q, _log_q, _pair_dots
 
 _SMALL_N = 2000
 _DENSE_ATTR_LIMIT = 5_000_000
@@ -133,10 +133,7 @@ def holdout_loglik(G: AttributedGraph, F, W, mask: HoldoutMask,
     if mask.graph is not G:
         raise ValueError("holdout mask was made for another graph")
     V = F.values
-    # Dot products column by column, so that no (pairs, C) array is formed.
-    dots = np.zeros(len(mask.pair_u))
-    for c in range(F.num_communities):
-        dots += V[mask.pair_u, c] * V[mask.pair_v, c]
+    dots = _pair_dots(V, mask.training_graph.unobserved_pairs)
     is_edge = mask.pair_obs.astype(bool)
     # log(1 - P_uv) = -F_u . F_v on a non-edge.
     lg = float(_edge_log_terms(dots[is_edge]).sum()) - float(dots[~is_edge].sum())

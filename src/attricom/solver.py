@@ -31,12 +31,11 @@ _FULL_PASS_PERIOD = 4
 # A run of non-adjacent nodes is updated as one batch when at least
 # _MIN_BATCH of its nodes are due for an update. Below that a batch saves
 # little over the nodes' update_node calls, and dense graphs, whose runs
-# are all shorter, keep update_node's fits exactly. A run closes at
-# _RUN_NODES nodes, or before its gathered neighbor and partner rows times
-# C, or its nodes times K, pass _RUN_CELLS: the line search holds 17 rows
-# (the old one and 16 trials) for each of them.
+# are all shorter, keep update_node's fits exactly. A run closes before
+# its cells pass _RUN_CELLS, a node's cells being its own row, its gathered
+# neighbor and partner rows (C each) and its K attribute cells: the line
+# search holds 17 of each (the old one and 16 trials).
 _MIN_BATCH = 16
-_RUN_NODES = 4096
 _RUN_CELLS = 1 << 16
 
 
@@ -104,19 +103,17 @@ def _node_runs(G: AttributedGraph, C: int) -> list[tuple[int, int]]:
     non-adjacent nodes, neither joined by an edge nor an unobserved pair.
 
     Walking the ids upward, node u joins the open run when its largest lower
-    neighbor or partner lies below the run's start and the run stays within
-    the _RUN_NODES and _RUN_CELLS caps; otherwise u starts a new run.
+    neighbor or partner lies below the run's start and the run's cells stay
+    within _RUN_CELLS; otherwise u starts a new run.
     """
     n = G.num_nodes
     lower = np.full(n, -1, dtype=np.int64)
     pairs = np.concatenate([G.edges, G.unobserved_pairs])
     np.maximum.at(lower, pairs[:, 1], pairs[:, 0])
-    row_cells = C * (G.degrees + np.bincount(G.unobserved_pairs.ravel(), minlength=n))
-    node_limit = min(_RUN_NODES, _RUN_CELLS // max(G.num_attrs, 1))
+    node_cells = C * (np.bincount(pairs.ravel(), minlength=n) + 1) + G.num_attrs
     runs, start, cells = [], 0, 0
-    for u, (low, own) in enumerate(zip(lower.tolist(), row_cells.tolist())):
-        if u > start and (low >= start or u - start >= node_limit
-                          or cells + own > _RUN_CELLS):
+    for u, (low, own) in enumerate(zip(lower.tolist(), node_cells.tolist())):
+        if u > start and (low >= start or cells + own > _RUN_CELLS):
             runs.append((start, u))
             start, cells = u, 0
         cells += own

@@ -13,6 +13,16 @@ from attricom.fileio import (FileFormatError, _load_pairs, _read_pair_lines,
                              write_weights_file)
 from attricom.synthetic import ForestFireParams, bernoulli_attributes, forest_fire
 
+BOM = "\ufeff"
+
+
+def _write_twins(tmp_path, text):
+    """A file holding text, and its twin with a UTF-8 byte-order mark."""
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(BOM + text, encoding="utf-8")
+    return plain, marked
+
 
 class TestEdgeFile:
     def test_round_trip(self, tmp_path):
@@ -41,6 +51,11 @@ class TestEdgeFile:
             read_edge_file(path)
         assert exc.value.line_no == 1
 
+    @pytest.mark.parametrize("text", ["0\t1\n2\t3\n", "# c\r\n0\t1\r\n"])
+    def test_byte_order_mark_skipped(self, tmp_path, text):
+        plain, marked = _write_twins(tmp_path, text)
+        assert read_edge_file(marked).tolist() == read_edge_file(plain).tolist()
+
 
 class TestAttrFile:
     def test_round_trip_with_dims_header(self, tmp_path):
@@ -59,6 +74,13 @@ class TestAttrFile:
         pairs, dims = read_attr_file(path)
         assert dims is None
         assert pairs.tolist() == [[0, 2], [4, 0]]
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        plain, marked = _write_twins(tmp_path, "#9\t3\n0\t2\n4\t0\n")
+        pairs, dims = read_attr_file(marked)
+        assert dims == (9, 3) and pairs.tolist() == [[0, 2], [4, 0]]
+        assert _load_pairs(marked).tolist() == pairs.tolist()
+        assert _read_pair_lines(marked) == _read_pair_lines(plain)
 
 
 _INT = st.builds(lambda pad, sign, x: pad + sign + str(x) + pad,
@@ -90,14 +112,16 @@ class TestPairFileFastPath:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(lines=st.lists(_LINE, max_size=8),
            endings=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=8, max_size=8),
-           last_newline=st.booleans())
-    def test_matches_line_reader(self, tmp_path, lines, endings, last_newline):
+           last_newline=st.booleans(), bom=st.sampled_from(["", BOM]))
+    def test_matches_line_reader(self, tmp_path, lines, endings, last_newline, bom):
         text = "".join(line + end for line, end in zip(lines, endings))
         if lines and not last_newline:
             text = text[:-len(endings[len(lines) - 1])]
-        path = tmp_path / "pairs.tsv"
-        path.write_bytes(text.encode("utf-8"))
-        want = _outcome(_read_pair_lines, path)
+        plain, path = tmp_path / "plain.tsv", tmp_path / "pairs.tsv"
+        plain.write_bytes(text.encode("utf-8"))
+        path.write_bytes((bom + text).encode("utf-8"))
+        want = _outcome(_read_pair_lines, plain)
+        assert _outcome(_read_pair_lines, path) == want
         assert _outcome(read_attr_file, path) == want
         fast = _load_pairs(path)
         if fast is not None:
@@ -129,6 +153,10 @@ class TestCommunityFile:
         write_community_file(path, cover)
         assert path.read_text() == "0\t9\n7\t8\n"
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain, marked = _write_twins(tmp_path, "0\t2\t9\n1\t5\n")
+        assert read_community_file(marked) == read_community_file(plain) == [[0, 2, 9], [1, 5]]
+
 
 class TestWeightsFile:
     def test_round_trip_stable(self, tmp_path):
@@ -149,6 +177,11 @@ class TestWeightsFile:
         with pytest.raises(FileFormatError) as exc:
             read_weights_file(path)
         assert exc.value.line_no == 2
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain, marked = _write_twins(tmp_path, "0\t1.5\t-2\n1\t0\t0.25\n")
+        assert (read_weights_file(marked).values.tolist()
+                == read_weights_file(plain).values.tolist() == [[1.5, -2.0], [0.0, 0.25]])
 
 
 class TestManifest:

@@ -69,6 +69,17 @@ class TestLogLikGraph:
             G, F, _ = random_instance(rng, max_n=15)
             assert log_lik_graph(G, F) == pytest.approx(
                 naive_log_lik_graph(G, F), abs=1e-9)
+        # One community and many, half their entries zero, on whole graphs
+        # and on held-out training graphs.
+        for seed, c in enumerate([1, 17] * 4):
+            G, _, _ = random_instance(rng, max_n=15, max_k=0)
+            n = G.num_nodes
+            F = AffiliationMatrix(rng.uniform(0.0, 0.5, size=(n, c)) * (rng.random((n, c)) < 0.5))
+            assert log_lik_graph(G, F) == pytest.approx(naive_log_lik_graph(G, F), abs=1e-9)
+            mask = make_holdout(G, 0.25, seed)
+            pairs = set(zip(mask.pair_u.tolist(), mask.pair_v.tolist()))
+            assert log_lik_graph(mask.training_graph, F) == pytest.approx(
+                naive_log_lik_graph(G, F, masked=pairs), abs=1e-9)
 
 
 class TestLogLikAttr:

@@ -6,7 +6,7 @@ import pytest
 
 from attricom import (AffiliationMatrix, AttributeWeights, FitConfig,
                       HoldoutMask, build_graph, choose_num_communities, fit,
-                      holdout_loglik, log_lik_attr, make_holdout)
+                      holdout_loglik, log_lik_attr, make_holdout, objective)
 
 from oracles import has_attr, has_edge, naive_log_lik_attr, naive_log_lik_graph
 
@@ -239,8 +239,6 @@ class TestHoldoutLoglik:
     def test_full_mask_equals_scaled_data_loglik(self):
         rng = np.random.default_rng(3)
         g = _random_attributed(rng, n=8, c=2, k=2)
-        F = AffiliationMatrix(rng.uniform(0.1, 1.5, size=(8, 2)))
-        W = AttributeWeights(rng.uniform(-1, 1, size=(2, 3)))
         us, vs = np.triu_indices(8, 1)
         obs = np.array([int(has_edge(g, int(u), int(v))) for u, v in zip(us, vs)])
         au, ak = np.divmod(np.arange(8 * 2), 2)
@@ -249,10 +247,31 @@ class TestHoldoutLoglik:
         assert mask.pair_obs.tolist() == obs.tolist()
         assert mask.attr_obs.tolist() == aobs.tolist()
         cfg = FitConfig(alpha=0.3)
-        got = holdout_loglik(g, F, W, mask, cfg)
-        want = (0.7 * naive_log_lik_graph(g, F, cfg.min_dot_guard)
-                + 0.3 * naive_log_lik_attr(g, F, W))
-        assert got == pytest.approx(want, abs=1e-9)
+        for c in (2, 1, 17):
+            F = AffiliationMatrix(rng.uniform(0.1, 1.5, size=(8, c)))
+            W = AttributeWeights(rng.uniform(-1, 1, size=(2, c + 1)))
+            got = holdout_loglik(g, F, W, mask, cfg)
+            want = (0.7 * naive_log_lik_graph(g, F, cfg.min_dot_guard)
+                    + 0.3 * naive_log_lik_attr(g, F, W))
+            assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("c", [1, 17])
+    def test_partial_mask_scores_the_reserved_terms(self, c):
+        # The reserved pairs' and cells' terms are the whole data's terms
+        # less those of the training data.
+        rng = np.random.default_rng(c)
+        cfg = FitConfig(alpha=0.4)
+        for seed in range(4):
+            g = _random_attributed(rng, n=14, c=3, k=3)
+            F = AffiliationMatrix(rng.uniform(0.0, 0.8, size=(14, c)) * (rng.random((14, c)) < 0.5))
+            W = AttributeWeights(rng.uniform(-1, 1, size=(3, c + 1)))
+            mask = make_holdout(g, 0.3, seed)
+            pairs = set(zip(mask.pair_u.tolist(), mask.pair_v.tolist()))
+            cells = set(zip(mask.attr_u.tolist(), mask.attr_k.tolist()))
+            want = (0.6 * (naive_log_lik_graph(g, F) - naive_log_lik_graph(g, F, masked=pairs))
+                    + 0.4 * (naive_log_lik_attr(g, F, W)
+                             - naive_log_lik_attr(g, F, W, masked=cells)))
+            assert holdout_loglik(g, F, W, mask, cfg) == pytest.approx(want, abs=1e-9)
 
     def test_mask_of_another_graph_rejected(self):
         g = build_graph([(0, 1), (1, 2)], [(0, 0)], 3, 1)
@@ -286,7 +305,8 @@ class TestHoldoutLoglik:
 class TestMemoryAtScale:
     """The attribute term and the held-out score need memory in proportion to
     the nodes times the communities, not to the 10**6 reserved cells of a
-    held-out graph of 20,000 nodes by 500 attributes."""
+    held-out graph of 20,000 nodes by 500 attributes; the objective needs at
+    most a few float64 more per stored or unobserved node pair."""
 
     @pytest.fixture(scope="class")
     def heldout(self):
@@ -307,6 +327,17 @@ class TestMemoryAtScale:
         g, mask, F, W = heldout
         _, peak = _traced(lambda: holdout_loglik(g, F, W, mask, FitConfig()))
         assert peak < 8 * 8 * F.values.size
+
+    def test_objective_peak_in_nodes_and_pairs(self, heldout):
+        g, mask, _, _ = heldout
+        rng = np.random.default_rng(12)
+        c = 40
+        F = AffiliationMatrix(rng.uniform(0.0, 1.0, size=(g.num_nodes, c)))
+        W = AttributeWeights(rng.uniform(-1.0, 1.0, size=(g.num_attrs, c + 1)))
+        train = mask.training_graph
+        pairs = train.num_edges + len(train.unobserved_pairs)
+        _, peak = _traced(lambda: objective(train, F, W, FitConfig()))
+        assert peak < 8 * 8 * F.values.size + 4 * 8 * pairs
 
 
 class TestMaskedTraining:

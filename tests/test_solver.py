@@ -494,23 +494,23 @@ class TestNodeRuns:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 60), p=st.floats(0.0, 0.3),
            C=st.integers(1, 4), K=st.integers(0, 5), masked=st.booleans(),
-           caps=st.sampled_from([None, (3, 12), (5, 40)]))
-    def test_partition(self, seed, n, p, C, K, masked, caps):
+           cap=st.sampled_from([None, 12, 40]))
+    def test_partition(self, seed, n, p, C, K, masked, cap):
         rng = np.random.default_rng(seed)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         attrs = [(u, k) for u in range(n) for k in range(K) if rng.random() < 0.4]
         G = build_graph(edges, attrs, n, K)
         if masked and n > 1:
             G = make_holdout(G, 0.2, seed).training_graph
-        nodes_cap, cells_cap = caps or (solver._RUN_NODES, solver._RUN_CELLS)
-        with mock.patch.multiple(solver, _RUN_NODES=nodes_cap, _RUN_CELLS=cells_cap):
+        cap = cap or solver._RUN_CELLS
+        with mock.patch.object(solver, "_RUN_CELLS", cap):
             runs = _node_runs(G, C)
         conflicts = {tuple(e) for e in G.edges} | {tuple(q) for q in G.unobserved_pairs}
-        cells = C * (G.degrees + np.bincount(G.unobserved_pairs.ravel(), minlength=n))
+        partners = np.bincount(G.unobserved_pairs.ravel(), minlength=n)
+        cells = C * (G.degrees + partners + 1) + K
 
         def fits(a, b):
-            return ((b - a) <= nodes_cap and (b - a) * K <= cells_cap
-                    and int(cells[a:b].sum()) <= cells_cap)
+            return int(cells[a:b].sum()) <= cap
 
         assert [a for a, _ in runs] == [0] + [b for _, b in runs[:-1]]
         assert runs[-1][1] == n and all(a < b for a, b in runs)
