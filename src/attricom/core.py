@@ -46,15 +46,6 @@ def _csr(heads: np.ndarray, tails: np.ndarray, n: int, width: int):
     return indptr, keys % max(width, 1)
 
 
-def _gather(indptr: np.ndarray, indices: np.ndarray, heads: np.ndarray):
-    """(counts, tails) of the CSR rows of heads, the rows concatenated in order."""
-    starts = indptr[heads]
-    counts = indptr[heads + 1] - starts
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    return counts, indices[np.arange(total) + np.repeat(starts - ends + counts, counts)]
-
-
 class AttributedGraph:
     """Undirected simple graph plus sparse binary node attributes.
 
@@ -169,15 +160,19 @@ class AttributedGraph:
         """Sorted ids of the nodes whose attribute-k cell is unobserved."""
         return self._unobserved_nodes[self._unobserved_indptr[k]:self._unobserved_indptr[k + 1]]
 
-    def lists_of(self, nodes: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The per-node lists of several nodes at once: (counts, ids) for
-        neighbors, unobserved partners, present attributes and unobserved
-        attributes, in that order. ids concatenates the list of each node of
-        nodes in turn, and counts[i] of its entries belong to nodes[i]."""
-        return tuple(_gather(indptr, indices, nodes) for indptr, indices in (
-            (self._adj_indptr, self._adj_indices), (self._partner_indptr, self._partners),
-            (self._na_indptr, self._na_indices),
-            (self._hidden_attr_indptr, self._hidden_attrs)))
+    def lists_of(self, start: int, stop: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The per-node lists of the nodes start..stop-1 at once, as slices of
+        the CSR arrays: (counts, ids) for neighbors, unobserved partners,
+        present attributes and unobserved attributes, in that order. ids
+        concatenates the lists of the nodes in id order, and counts[i] of its
+        entries belong to node start + i."""
+        return tuple((indptr[start + 1:stop + 1] - indptr[start:stop],
+                      indices[indptr[start]:indptr[stop]])
+                     for indptr, indices in (
+                         (self._adj_indptr, self._adj_indices),
+                         (self._partner_indptr, self._partners),
+                         (self._na_indptr, self._na_indices),
+                         (self._hidden_attr_indptr, self._hidden_attrs)))
 
     def __repr__(self):
         return (f"AttributedGraph(n={self.num_nodes}, edges={self.num_edges}, "

@@ -100,7 +100,8 @@ def log_lik_graph(G: AttributedGraph, F: AffiliationMatrix) -> float:
     # Unobserved pairs are never edges of G; all of them are accounted for
     # against the pair total in one canonical order, so the result is
     # bit-identical no matter which of them are edges of the full data.
-    hidden_dot_sum = float(_pair_dots(V, G.unobserved_pairs).sum())
+    hidden = G.unobserved_pairs
+    hidden_dot_sum = float(_pair_dots(V, hidden).sum()) if len(hidden) else 0.0
     dots = _pair_dots(V, G.edges)
     nonedge_dot = total_pair_dot - float(dots.sum()) - hidden_dot_sum
     return float(_edge_log_terms(dots).sum()) - nonedge_dot
@@ -150,34 +151,47 @@ class _NodeState:
 def _node_state(u: int, G: AttributedGraph, F: AffiliationMatrix,
                 W: AttributeWeights, config: FitConfig) -> _NodeState:
     V = F.values
-    f_nbrs = V[G.neighbors(u)]
-    partners, hidden = G.unobserved_of(u)
+    indptr, indices = G.adjacency
+    f_nbrs = V[indices[indptr[u]:indptr[u + 1]]]
     # Unobserved partners leave the non-neighbor sum as neighbors do, and
-    # unobserved cells are zeroed where the attribute terms are formed.
+    # unobserved cells are zeroed where the attribute terms are formed; a
+    # whole graph has neither.
     s_minus = F.column_sums - V[u] - f_nbrs.sum(axis=0)
-    if len(partners):
-        s_minus -= V[partners].sum(axis=0)
+    hidden = ()
+    if len(G.unobserved_pairs) or len(G.unobserved_cells):
+        partners, hidden = G.unobserved_of(u)
+        if len(partners):
+            s_minus -= V[partners].sum(axis=0)
     return _NodeState(f_nbrs, s_minus, W.values[:, :-1], W.values[:, -1],
                       G.node_attr_ids(u), hidden, config.alpha)
 
 
-def _grad_from_state(st: _NodeState, f_row: np.ndarray) -> np.ndarray:
-    dots = st.f_nbrs @ f_row
-    ratio = np.zeros_like(dots)
-    # Below the guard the edge term is the constant log(1 - exp(-guard)),
-    # so its gradient contribution there is exactly zero: a row whose support
-    # is disjoint from every neighbor's is a plateau it cannot leave (see
-    # core.MIN_DOT_GUARD). Above ~700 the ratio underflows to 0 anyway;
-    # capping avoids a spurious expm1 overflow.
+def _edge_ratios(dots: np.ndarray) -> np.ndarray:
+    """d/d(dot) of each edge term, 1 / expm1(dot), and 0 at or below the guard.
+
+    Below the guard the edge term is the constant log(1 - exp(-guard)), so
+    its gradient contribution there is exactly zero: a row whose support is
+    disjoint from every neighbor's is a plateau it cannot leave (see
+    core.MIN_DOT_GUARD). Above ~700 the ratio underflows to 0 anyway;
+    capping avoids a spurious expm1 overflow.
+    """
     active = dots > MIN_DOT_GUARD
+    if active.all():
+        return 1.0 / np.expm1(np.minimum(dots, 700.0))
+    ratio = np.zeros(len(dots))
     if active.any():
         ratio[active] = 1.0 / np.expm1(np.minimum(dots[active], 700.0))
-    g = st.f_nbrs.T @ ratio - st.s_minus
+    return ratio
+
+
+def _grad_from_state(st: _NodeState, f_row: np.ndarray) -> np.ndarray:
+    g = st.f_nbrs.T @ _edge_ratios(st.f_nbrs @ f_row) - st.s_minus
     g *= 1.0 - st.alpha
     if st.w_head.shape[0]:
         resid = -_sigmoid(st.w_head @ f_row + st.w_bias)
         resid[st.x_idx] += 1.0
-        resid[st.hidden] = 0.0
+        if len(st.hidden):
+            resid[st.hidden] = 0.0
         g += st.alpha * (st.w_head.T @ resid)
     return g
 
@@ -194,7 +208,8 @@ def _local_objectives(st: _NodeState, rows: np.ndarray) -> np.ndarray:
     if st.w_head.shape[0]:
         z = rows @ st.w_head.T + st.w_bias
         log_1q = _log_1q(z)
-        log_1q[:, st.hidden] = 0.0
+        if len(st.hidden):
+            log_1q[:, st.hidden] = 0.0
         lx = log_1q.sum(axis=1)
         if len(st.x_idx):
             lx += _log_q(z[:, st.x_idx]).sum(axis=1) - log_1q[:, st.x_idx].sum(axis=1)
@@ -205,10 +220,13 @@ def _local_objectives(st: _NodeState, rows: np.ndarray) -> np.ndarray:
 def _segment_sums(a: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sums of consecutive runs of a's rows, counts[i] rows for run i (zero
     for an empty run)."""
-    out = np.zeros((len(counts),) + a.shape[1:])
+    starts = counts.cumsum() - counts
     full = counts > 0
+    if full.all():
+        return np.add.reduceat(a, starts, axis=0)
+    out = np.zeros((len(counts),) + a.shape[1:])
     if full.any():
-        out[full] = np.add.reduceat(a, (np.cumsum(counts) - counts)[full], axis=0)
+        out[full] = np.add.reduceat(a, starts[full], axis=0)
     return out
 
 
@@ -216,39 +234,52 @@ class _BatchState:
     """_NodeState of a batch of pairwise non-adjacent nodes, against one
     state of F. Row r of f_nbrs is a neighbor of batch node pos[r], counts[i]
     rows for node i; (x_pos, x_ids) and (h_pos, h_ids) are the present and
-    the unobserved cells as (batch node, attribute)."""
+    the unobserved cells as (batch node, attribute).
+
+    Built for a range of node ids start..stop-1 from slices of the graph's
+    CSR lists; take() narrows it to some of its nodes."""
 
     __slots__ = ("f_nbrs", "pos", "counts", "s_minus", "w_head", "w_bias",
                  "x_pos", "x_ids", "h_pos", "h_ids", "alpha")
 
-    def __init__(self, nodes, G: AttributedGraph, F: AffiliationMatrix,
+    def __init__(self, start: int, stop: int, G: AttributedGraph, F: AffiliationMatrix,
                  W: AttributeWeights, config: FitConfig):
         V = F.values
         ((self.counts, nbrs), (p_counts, partners), (x_counts, self.x_ids),
-         (h_counts, self.h_ids)) = G.lists_of(nodes)
-        at = np.arange(len(nodes))
-        self.pos, self.x_pos, self.h_pos = (np.repeat(at, c) for c in
-                                            (self.counts, x_counts, h_counts))
+         (h_counts, self.h_ids)) = G.lists_of(start, stop)
+        at = np.arange(stop - start)
+        self.pos, self.x_pos, self.h_pos = (at.repeat(c) for c in (self.counts, x_counts,
+                                                                    h_counts))
         self.f_nbrs = V[nbrs]
-        self.s_minus = F.column_sums - V[nodes] - _segment_sums(self.f_nbrs, self.counts)
+        self.s_minus = F.column_sums - V[start:stop] - _segment_sums(self.f_nbrs, self.counts)
         if len(partners):
             self.s_minus -= _segment_sums(V[partners], p_counts)
         self.w_head, self.w_bias = W.values[:, :-1], W.values[:, -1]
         self.alpha = config.alpha
 
+    def take(self, keep: np.ndarray) -> _BatchState:
+        """The state of the nodes i with keep[i] (one bool per node), in order."""
+        st = object.__new__(_BatchState)
+        st.w_head, st.w_bias, st.alpha = self.w_head, self.w_bias, self.alpha
+        st.counts, st.s_minus = self.counts[keep], self.s_minus[keep]
+        renumber = keep.cumsum() - 1
+        rows, x, h = keep[self.pos], keep[self.x_pos], keep[self.h_pos]
+        st.f_nbrs, st.pos = self.f_nbrs[rows], renumber[self.pos[rows]]
+        st.x_pos, st.x_ids = renumber[self.x_pos[x]], self.x_ids[x]
+        st.h_pos, st.h_ids = renumber[self.h_pos[h]], self.h_ids[h]
+        return st
+
 
 def _batch_grad(st: _BatchState, f: np.ndarray) -> np.ndarray:
     """_grad_from_state for every node of the batch: f and the result are (b, C)."""
-    dots = np.einsum("rc,rc->r", st.f_nbrs, f[st.pos])
-    ratio = np.zeros_like(dots)
-    active = dots > MIN_DOT_GUARD
-    ratio[active] = 1.0 / np.expm1(np.minimum(dots[active], 700.0))
+    ratio = _edge_ratios(np.einsum("rc,rc->r", st.f_nbrs, f[st.pos]))
     g = _segment_sums(st.f_nbrs * ratio[:, np.newaxis], st.counts) - st.s_minus
     g *= 1.0 - st.alpha
     if st.w_head.shape[0]:
         resid = -_sigmoid(f @ st.w_head.T + st.w_bias)
         resid[st.x_pos, st.x_ids] += 1.0
-        resid[st.h_pos, st.h_ids] = 0.0
+        if len(st.h_ids):
+            resid[st.h_pos, st.h_ids] = 0.0
         g += st.alpha * (resid @ st.w_head)
     return g
 
@@ -264,7 +295,8 @@ def _batch_local_objectives(st: _BatchState, rows: np.ndarray) -> np.ndarray:
         z = rows @ st.w_head.T + st.w_bias
         terms = _log_1q(z)
         terms[st.x_pos, :, st.x_ids] = _log_q(z[st.x_pos, :, st.x_ids])
-        terms[st.h_pos, :, st.h_ids] = 0.0
+        if len(st.h_ids):
+            terms[st.h_pos, :, st.h_ids] = 0.0
         total += st.alpha * terms.sum(axis=2)
     return total
 
@@ -300,10 +332,15 @@ def grad_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
 
 
 def objective(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights,
-              config: FitConfig) -> ObjectiveValue:
-    """Assemble graph, attribute and l1 parts into the scaled fitting objective."""
+              config: FitConfig, attr_terms=None) -> ObjectiveValue:
+    """Assemble graph, attribute and l1 parts into the scaled fitting objective.
+
+    attr_terms, when given, holds _attr_loglik(k, G, F, W.values[k]) for each
+    attribute k in order (as update_attr_weights records them), and stands
+    in for log_lik_attr, which sums the same terms in the same order.
+    """
     lg = log_lik_graph(G, F)
-    lx = log_lik_attr(G, F, W)
+    lx = log_lik_attr(G, F, W) if attr_terms is None else sum(attr_terms, 0.0)
     l1 = float(config.lam * np.abs(W.values[:, :-1]).sum())
     total = (1.0 - config.alpha) * lg + config.alpha * lx - l1
     return ObjectiveValue(lg, lx, l1, total)

@@ -54,6 +54,18 @@ class FitResult:
     nodes_updated: list[int] = field(default_factory=list)
 
 
+def _trial_rows(f_old: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Rows f_old and g of shape (..., C) to (..., 1 + len(_STEPS), C): f_old,
+    then f_old + t * g for each step t, clipped to [0, MAX_MEMBERSHIP] as
+    np.clip clips (np.maximum(0.0, x) keeps a -0.0 as np.clip does)."""
+    rows = np.empty(f_old.shape[:-1] + (len(_STEPS) + 1, f_old.shape[-1]))
+    rows[..., 0, :] = f_old
+    trials = np.add(f_old[..., np.newaxis, :], _STEPS[:, np.newaxis] * g[..., np.newaxis, :],
+                    out=rows[..., 1:, :])
+    np.minimum(np.maximum(0.0, trials, out=trials), MAX_MEMBERSHIP, out=trials)
+    return rows
+
+
 def update_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
                 W: AttributeWeights, config: FitConfig, settled=None) -> bool:
     """One backtracking projected-gradient step on node u's membership row.
@@ -85,14 +97,12 @@ def update_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
 
     # All trial steps are evaluated in one batch, with f_old as row 0; the
     # first (largest) step passing the Armijo test is taken.
-    rows = np.empty((len(_STEPS) + 1, len(f_old)))
-    rows[0] = f_old
-    np.clip(f_old + _STEPS[:, np.newaxis] * g, 0.0, MAX_MEMBERSHIP, out=rows[1:])
+    rows = _trial_rows(f_old, g)
     values = _local_objectives(st, rows)
-    accepted = np.flatnonzero(values[1:] - values[0] >= _ARMIJO * _STEPS * g_norm2)
-    if not len(accepted):
+    passed = values[1:] - values[0] >= _ARMIJO * _STEPS * g_norm2
+    if not passed.any():
         return False
-    cand = rows[1 + accepted[0]]
+    cand = rows[1 + passed.argmax()]
     F.values[u] = cand
     F.column_sums += cand - f_old
     return True
@@ -125,6 +135,8 @@ def _propose_batch(nodes: np.ndarray, G: AttributedGraph, F: AffiliationMatrix,
                    W: AttributeWeights, config: FitConfig):
     """update_node's step for every node of a batch of pairwise non-adjacent
     nodes, all proposed against the current state; nothing is written.
+    nodes, sorted, is a run of _node_runs or some of its nodes: the batch
+    state is built for the range of ids they span and narrowed to them.
 
     Returns (moved, rows, gain): the nodes whose step changes their row,
     their new rows, and the exact change of the scaled objective if all of
@@ -132,19 +144,23 @@ def _propose_batch(nodes: np.ndarray, G: AttributedGraph, F: AffiliationMatrix,
     that is the sum of the nodes' local gains less
     (1 - alpha) * 1/2 (||sum of deltas||^2 - sum of ||delta||^2).
     """
-    st = _BatchState(nodes, G, F, W, config)
+    start, stop = int(nodes[0]), int(nodes[-1]) + 1
+    st = _BatchState(start, stop, G, F, W, config)
+    if len(nodes) < stop - start:
+        keep = np.zeros(stop - start, dtype=bool)
+        keep[nodes - start] = True
+        st = st.take(keep)
     f_old = F.values[nodes]
     g = _batch_grad(st, f_old)
     movable = ((g > 0.0) & (f_old < MAX_MEMBERSHIP)) | ((g < 0.0) & (f_old > 0.0))
     active = movable.any(axis=1)
     if not active.all():  # as in update_node, a screened-out node skips the line search
+        if not active.any():
+            return nodes[:0], f_old[:0], 0.0
         nodes, f_old, g = nodes[active], f_old[active], g[active]
-        st = _BatchState(nodes, G, F, W, config)
+        st = st.take(active)
     g_norm2 = np.einsum("bc,bc->b", g, g)
-    rows = np.empty((len(nodes), len(_STEPS) + 1, f_old.shape[1]))
-    rows[:, 0] = f_old
-    np.clip(f_old[:, np.newaxis] + _STEPS[:, np.newaxis] * g[:, np.newaxis],
-            0.0, MAX_MEMBERSHIP, out=rows[:, 1:])
+    rows = _trial_rows(f_old, g)
     values = _batch_local_objectives(st, rows)
     passed = values[:, 1:] - values[:, :1] >= _ARMIJO * _STEPS * g_norm2[:, np.newaxis]
     moved = np.flatnonzero(passed.any(axis=1))
@@ -184,32 +200,38 @@ def _node_pass(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights,
 
 
 def update_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
-                        W: AttributeWeights, config: FitConfig) -> np.ndarray:
+                        W: AttributeWeights, config: FitConfig, attr_terms=None) -> np.ndarray:
     """One backtracking subgradient step on attribute k's logistic weights.
 
     The ascent direction is alpha * data-gradient minus lam * sign(w) on the
     non-bias coordinates with sign(0) = 0; the bias is unpenalized. Accepts
     and shrinks exactly as update_node, on the per-attribute objective
     alpha * likelihood._attr_loglik - lam * ||w||_1 (bias excluded).
+    Returns the weights kept. With attr_terms (a list of one entry per
+    attribute), attr_terms[k] receives _attr_loglik at the weights kept, the
+    line search's own value where it evaluated them.
     """
     def penalized(w):
-        l1 = config.lam * float(np.abs(w[:-1]).sum())
-        return config.alpha * _attr_loglik(k, G, F, w) - l1
+        loglik = _attr_loglik(k, G, F, w)
+        return config.alpha * loglik - config.lam * float(np.abs(w[:-1]).sum()), loglik
 
-    w_old = W.values[k].copy()
+    w_old = kept = W.values[k].copy()
     d = config.alpha * grad_attr_weights(k, G, F, W)
     d[:-1] -= config.lam * np.sign(w_old[:-1])
     d_norm2 = float(d @ d)
-    if d_norm2 == 0.0:
-        return w_old
-
-    base = penalized(w_old)
-    for t in _STEPS:
-        cand = w_old + t * d
-        if penalized(cand) - base >= _ARMIJO * t * d_norm2:
-            W.values[k] = cand
-            return cand
-    return w_old
+    loglik = None
+    if d_norm2 != 0.0:
+        base, loglik = penalized(w_old)
+        for t in _STEPS:
+            cand = w_old + t * d
+            value, cand_loglik = penalized(cand)
+            if value - base >= _ARMIJO * t * d_norm2:
+                W.values[k] = kept = cand
+                loglik = cand_loglik
+                break
+    if attr_terms is not None:
+        attr_terms[k] = _attr_loglik(k, G, F, kept) if loglik is None else loglik
+    return kept
 
 
 def fit(G: AttributedGraph, C: int, config: FitConfig | None = None,
@@ -263,9 +285,10 @@ def fit(G: AttributedGraph, C: int, config: FitConfig | None = None,
         updated = G.num_nodes if full else G.num_nodes - num_settled
         _node_pass(G, F, W, config, runs, settled, full)
         refresh_column_sums(F)  # drop the rounding the per-row adjustments add up
+        attr_terms = [0.0] * G.num_attrs
         for k in range(G.num_attrs):
-            update_attr_weights(k, G, F, W, config)
-        current = objective(G, F, W, config)
+            update_attr_weights(k, G, F, W, config, attr_terms)
+        current = objective(G, F, W, config, attr_terms)
         iter_seconds.append(time.perf_counter() - tick)
         nodes_updated.append(updated)
         previous = trace[-1].scaled_total

@@ -125,14 +125,20 @@ class TestNodeLists:
         g = attricom.bernoulli_attributes(
             attricom.forest_fire(attricom.ForestFireParams(n=200, seed=3)), 6, 0.4, seed=3)
         t = attricom.make_holdout(g, 0.2, 0).training_graph
-        for nodes in (np.arange(0), np.arange(200), np.flatnonzero(rng.random(200) < 0.3)):
-            per_node = [[t.neighbors(u) for u in nodes],
-                        [t.unobserved_of(u)[0] for u in nodes],
-                        [t.node_attr_ids(u) for u in nodes],
-                        [t.unobserved_of(u)[1] for u in nodes]]
-            for (counts, ids), lists in zip(t.lists_of(nodes), per_node, strict=True):
-                assert counts.tolist() == [len(x) for x in lists]
-                assert ids.tolist() == [int(v) for x in lists for v in x]
+        ranges = [(0, 0), (0, 200), (57, 58), (199, 200)]
+        ranges += [tuple(sorted(rng.integers(0, 201, size=2).tolist())) for _ in range(20)]
+        for graph in (g, t):
+            for start, stop in ranges:
+                nodes = range(start, stop)
+                per_node = [[graph.neighbors(u) for u in nodes],
+                            [graph.unobserved_of(u)[0] for u in nodes],
+                            [graph.node_attr_ids(u) for u in nodes],
+                            [graph.unobserved_of(u)[1] for u in nodes]]
+                for (counts, ids), lists in zip(graph.lists_of(start, stop), per_node,
+                                                strict=True):
+                    assert counts.tolist() == [len(x) for x in lists]
+                    assert ids.tolist() == [int(v) for x in lists for v in x]
+        assert all(len(ids) for _, ids in t.lists_of(0, 200))
 
 
 class TestCsr:

@@ -14,7 +14,8 @@ from attricom import (MAX_MEMBERSHIP, AffiliationMatrix, AttributeWeights,
                       init_affiliations, make_holdout, match_score, objective,
                       rank_attributes, refresh_column_sums, threshold_memberships,
                       update_attr_weights, update_node)
-from attricom.likelihood import _attr_loglik, _local_objectives, _node_state
+from attricom.likelihood import (_attr_loglik, _BatchState, _local_objectives,
+                                 _node_state)
 from attricom.solver import _node_runs, _propose_batch
 
 from oracles import clamp_prob, has_attr, naive_log_lik_attr, sigmoid
@@ -181,6 +182,26 @@ class TestUpdateAttrWeights:
             w = update_attr_weights(k, g, F, W, cfg)
             assert naive(k, w)[1] > before
 
+    def test_records_the_term_of_the_weights_kept(self):
+        rng = np.random.default_rng(6)
+        g = _planted_like(rng, n=20, k=3)
+        F = AffiliationMatrix(rng.uniform(0, 1.5, size=(20, 2)))
+        W = AttributeWeights(rng.uniform(-1, 1, size=(3, 3)))
+        saturated = build_graph([], [(u, 0) for u in range(3)], 3, 1)
+        cases = [(g, F, W, FitConfig(lam=lam)) for lam in (0.0, 1.0, 50.0)]
+        # Saturated: a zero direction; then one whose every step crosses zero
+        # and raises the l1 cost, so no trial passes.
+        for w, lam in (([0.0, 50.0], 0.0), ([1e-12, 50.0], 1.0)):
+            cases.append((saturated, AffiliationMatrix(np.ones((3, 1))),
+                          AttributeWeights([w]), FitConfig(lam=lam)))
+        for G, F, W, cfg in cases:
+            for _ in range(3):
+                terms = [None] * G.num_attrs
+                for k in range(G.num_attrs):
+                    w = update_attr_weights(k, G, F, W, cfg, terms)
+                    assert terms[k] == _attr_loglik(k, G, F, W.values[k])
+                    assert np.array_equal(w, W.values[k])
+
 
 class TestFit:
     def test_two_clique_recovery(self):
@@ -233,6 +254,22 @@ class TestFit:
         b = fit(g_perm, 2, cfg)
         assert np.array_equal(a.F.values, b.F.values)
         assert np.array_equal(a.W.values, np.zeros_like(a.W.values))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_trace_reuses_the_weight_pass_terms(self, monkeypatch, masked):
+        g = _planted_like(np.random.default_rng(9), n=30, c=2, k=3)
+        mask = make_holdout(g, 0.2, 1) if masked else None
+        objective_, reused = solver.objective, []
+
+        def checked(G, F, W, config, *attr_terms):
+            value = objective_(G, F, W, config, *attr_terms)
+            assert value == objective_(G, F, W, config)
+            reused.append(bool(attr_terms))
+            return value
+
+        monkeypatch.setattr(solver, "objective", checked)
+        result = fit(g, 2, FitConfig(max_outer_iters=8), mask)
+        assert reused == [False] + [True] * result.iterations_run
 
     def test_reports_genuine_objective(self):
         rng = np.random.default_rng(8)
@@ -489,6 +526,76 @@ class TestBatchKernel:
                                            F, AttributeWeights(np.zeros((0, 3))), FitConfig())
         assert len(moved) == 0 and gain == 0.0
 
+    def test_batch_without_movable_node_skips_the_line_search(self, monkeypatch):
+        # Rows at zero whose gradient points below zero: projection locks
+        # every coordinate of every node of the batch.
+        G = build_graph([], [], 21, 0)
+        values = np.zeros((21, 2))
+        values[20] = 1.0
+        F = AffiliationMatrix(values)
+        W = AttributeWeights(np.zeros((0, 3)))
+
+        def line_search(*args):
+            raise AssertionError("line search on a batch without a movable node")
+
+        monkeypatch.setattr(solver, "_batch_local_objectives", line_search)
+        for nodes in (np.arange(20), np.array([1, 4, 19])):
+            moved, rows, gain = _propose_batch(nodes, G, F, W, FitConfig())
+            assert len(moved) == 0 and rows.shape == (0, 2) and gain == 0.0
+            assert type(gain) is float
+
+
+def _assert_same_state(ours, theirs):
+    """Every field of two batch states equal, arrays bitwise."""
+    for name in _BatchState.__slots__:
+        a, b = getattr(ours, name), getattr(theirs, name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        else:
+            assert a == b, name
+
+
+def _joined_state(states, alpha):
+    """The fields of one-node batch states side by side, as one state of all
+    their nodes in turn would hold them."""
+    joined = object.__new__(_BatchState)
+    joined.alpha = alpha
+    joined.w_head, joined.w_bias = states[0].w_head, states[0].w_bias
+    for name in ("f_nbrs", "counts", "s_minus", "x_ids", "h_ids"):
+        setattr(joined, name, np.concatenate([getattr(st, name) for st in states]))
+    joined.pos = np.repeat(np.arange(len(states)), joined.counts)
+    joined.x_pos = np.repeat(np.arange(len(states)), [len(st.x_ids) for st in states])
+    joined.h_pos = np.repeat(np.arange(len(states)), [len(st.h_ids) for st in states])
+    return joined
+
+
+class TestBatchState:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_take_is_the_state_of_the_kept_nodes(self, masked):
+        G = _batched_graph(masked)
+        F = init_affiliations(G, 3, seed=4)
+        W = AttributeWeights(np.random.default_rng(4).normal(size=(G.num_attrs, 4)))
+        cfg = FitConfig(alpha=0.3)
+        rng = np.random.default_rng(5)
+        cells = np.bincount(G.unobserved_cells[:, 0], minlength=G.num_nodes)
+        hidden_dropped = 0
+        for a, b in _long_runs(G, 3):
+            whole = _BatchState(a, b, G, F, W, cfg)
+            lo, hi = a + 2, b - 3
+            keep = np.zeros(b - a, dtype=bool)
+            keep[lo - a:hi - a] = True
+            _assert_same_state(whole.take(keep), _BatchState(lo, hi, G, F, W, cfg))
+            drawn = rng.random(b - a) < 0.5
+            drawn[rng.integers(b - a)] = True
+            for keep in (drawn, cells[a:b] == 0):  # the latter drops every unobserved cell
+                nodes = a + np.flatnonzero(keep)
+                kept = whole.take(keep)
+                _assert_same_state(kept, _joined_state(
+                    [_BatchState(u, u + 1, G, F, W, cfg) for u in nodes], cfg.alpha))
+            hidden_dropped += len(whole.h_ids) > 0 and not len(kept.h_ids)
+        assert hidden_dropped if masked else not cells.any()
+
 
 class TestNodeRuns:
     @settings(max_examples=60, deadline=None)
@@ -532,9 +639,9 @@ class TestBatchedPass:
             per_node[0] += settled is None or not settled[u]
             return update_node(u, G, F, W, config, settled)
 
-        def snapshot(G, F, W, config):
+        def snapshot(G, F, W, config, *attr_terms):
             snapshots.append(F.values.copy())
-            return objective_(G, F, W, config)
+            return objective_(G, F, W, config, *attr_terms)
 
         monkeypatch.setattr(solver, "update_node", counted)
         monkeypatch.setattr(solver, "objective", snapshot)
