@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", "--communities", required=True,
                    help="community count, or 'auto' for held-out selection")
     p.add_argument("--candidates", type=_int_list, default=[2, 4, 8, 16, 32],
-                   help="candidate counts for -c auto (default 2,4,8,16,32)")
+                   help="distinct candidate counts for -c auto (default 2,4,8,16,32)")
     p.add_argument("--delta", type=float, default=None,
                    help="membership threshold override (default sqrt(-log(1-1/N)))")
     _add_fit_flags(p)

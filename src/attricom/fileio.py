@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import codecs
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -51,41 +52,39 @@ def _parse_header(line):
         return None
 
 
-def _read_pair_lines(path):
-    """Pairs of a pair file as (a, b) tuples, and its '#N<TAB>K' first line
-    as dims (None without one), parsed line by line."""
-    pairs = []
-    dims = None
+def _data_lines(path):
+    """(line number, line) of each data line of a text file: the line end
+    stripped, blank lines and lines starting with '#' skipped."""
     with open(path, encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                if line_no == 1:
-                    dims = _parse_header(line)
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise FileFormatError(path, line_no, "expected two tab-separated integers")
-            a = _parse_int(path, line_no, fields[0])
-            b = _parse_int(path, line_no, fields[1])
-            pairs.append((a, b))
-    return pairs, dims
+            if line.strip() and not line.startswith("#"):
+                yield line_no, line
 
 
-def _load_pairs(path):
+def _read_pair_lines(path):
+    """The pairs of a pair file as (a, b) tuples, parsed line by line."""
+    pairs = []
+    for line_no, line in _data_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise FileFormatError(path, line_no, "expected two tab-separated integers")
+        pairs.append((_parse_int(path, line_no, fields[0]),
+                      _parse_int(path, line_no, fields[1])))
+    return pairs
+
+
+def _load_pairs(path, data: bytes):
     """The pairs of a pair file as an (E, 2) int64 array, or None.
 
-    np.loadtxt reads the data lines _read_pair_lines accepts to the same
-    pairs and raises on the lines it rejects, except that it also cuts a
-    line at a '#' anywhere in it, where the line reader only skips lines
-    starting with '#'. So a file with a '#' elsewhere, or one that loadtxt
-    rejects or reads as other than two columns, gets None and is left to
-    the line reader, which reports the offending line.
+    data is the file's bytes without a byte-order mark. np.loadtxt reads the
+    data lines _read_pair_lines accepts to the same pairs and raises on the
+    lines it rejects, except that it also cuts a line at a '#' anywhere in
+    it, where the line reader only skips lines starting with '#'. So a file
+    with a '#' elsewhere, or one that loadtxt rejects or reads as other than
+    two columns, gets None and is left to the line reader, which reports the
+    offending line.
     """
-    with open(path, "rb") as fh:
-        data = fh.read().removeprefix(codecs.BOM_UTF8)
     line_start_hashes = data.startswith(b"#") + data.count(b"\n#") + data.count(b"\r#")
     if data.count(b"#") != line_start_hashes:
         return None
@@ -103,13 +102,15 @@ def _load_pairs(path):
 
 def _read_pairs(path):
     """(pairs as an (E, 2) int64 array, '#N<TAB>K' dims or None)."""
-    pairs = _load_pairs(path)
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    # The header line ends, as in text mode, at the first '\n' or '\r'.
+    dims = (_parse_header(re.match(rb"[^\r\n]*", data)[0].decode("utf-8"))
+            if data.startswith(b"#") else None)
+    pairs = _load_pairs(path, data)
     if pairs is None:
-        lines, dims = _read_pair_lines(path)
-        return np.array(lines, dtype=np.int64).reshape(-1, 2), dims
-    with open(path, encoding="utf-8-sig") as fh:
-        first = fh.readline().rstrip("\r\n")
-    return pairs, _parse_header(first) if first.startswith("#") else None
+        pairs = np.array(_read_pair_lines(path), dtype=np.int64).reshape(-1, 2)
+    return pairs, dims
 
 
 def read_edge_file(path) -> np.ndarray:
@@ -123,37 +124,29 @@ def read_attr_file(path):
     return _read_pairs(path)
 
 
-def write_edge_file(path, G: AttributedGraph) -> None:
+def _write_pairs(path, pairs: np.ndarray, header: str = "") -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v in G.edges:
-            fh.write(f"{u}\t{v}\n")
+        fh.write(header + "".join(f"{a}\t{b}\n" for a, b in pairs.tolist()))
+
+
+def write_edge_file(path, G: AttributedGraph) -> None:
+    _write_pairs(path, G.edges)
 
 
 def write_attr_file(path, G: AttributedGraph) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#{G.num_nodes}\t{G.num_attrs}\n")
-        for u, k in G.attr_pairs:
-            fh.write(f"{u}\t{k}\n")
+    _write_pairs(path, G.attr_pairs, f"#{G.num_nodes}\t{G.num_attrs}\n")
 
 
 def write_community_file(path, cover: CommunityCover) -> None:
-    ordered = sorted(cover.communities, key=lambda s: (-len(s), tuple(sorted(s))))
+    ordered = sorted((sorted(s) for s in cover.communities), key=lambda m: (-len(m), m))
     with open(path, "w", encoding="utf-8") as fh:
-        for members in ordered:
-            fh.write("\t".join(str(m) for m in sorted(members)) + "\n")
+        fh.write("".join("\t".join(map(str, members)) + "\n" for members in ordered))
 
 
 def read_community_file(path) -> list[list[int]]:
     """Communities as id lists; build a CommunityCover with the caller's universe."""
-    communities = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            members = [_parse_int(path, line_no, tok) for tok in line.split("\t")]
-            communities.append(members)
-    return communities
+    return [[_parse_int(path, line_no, tok) for tok in line.split("\t")]
+            for line_no, line in _data_lines(path)]
 
 
 def write_weights_file(path, W: AttributeWeights) -> None:
@@ -166,27 +159,21 @@ def write_weights_file(path, W: AttributeWeights) -> None:
 def read_weights_file(path) -> AttributeWeights:
     rows = []
     width = None
-    with open(path, encoding="utf-8-sig") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) < 3:
-                raise FileFormatError(path, line_no,
-                                      "expected id, community weights and bias")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise FileFormatError(path, line_no, "inconsistent column count")
-            k = _parse_int(path, line_no, fields[0])
-            if k != len(rows):
-                raise FileFormatError(path, line_no,
-                                      f"attribute ids must be consecutive, got {k}")
-            try:
-                rows.append([float(x) for x in fields[1:]])
-            except ValueError:
-                raise FileFormatError(path, line_no, "malformed weight value") from None
+    for line_no, line in _data_lines(path):
+        fields = line.split("\t")
+        if len(fields) < 3:
+            raise FileFormatError(path, line_no, "expected id, community weights and bias")
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise FileFormatError(path, line_no, "inconsistent column count")
+        k = _parse_int(path, line_no, fields[0])
+        if k != len(rows):
+            raise FileFormatError(path, line_no, f"attribute ids must be consecutive, got {k}")
+        try:
+            rows.append([float(x) for x in fields[1:]])
+        except ValueError:
+            raise FileFormatError(path, line_no, "malformed weight value") from None
     if not rows:
         return AttributeWeights(np.zeros((0, 1)))
     return AttributeWeights(rows)

@@ -161,6 +161,8 @@ def choose_num_communities(G: AttributedGraph, candidates, config: FitConfig,
         raise ValueError("candidate list must be nonempty")
     if any(c < 1 for c in candidates):
         raise ValueError("candidate community counts must be >= 1")
+    if len(set(candidates)) != len(candidates):
+        raise ValueError("candidate community counts must be distinct")
 
     mask = make_holdout(G, fraction, config.rng_seed)
     scores: list[tuple[int, float]] = []

@@ -116,13 +116,8 @@ def bernoulli_attributes(G: AttributedGraph, k: int, p: float,
         raise ValueError("attribute count must be >= 0")
     if not (0.0 <= p <= 1.0):
         raise ValueError("attribute probability must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    if k == 0:
-        pairs = np.zeros((0, 2), dtype=np.int64)
-    else:
-        present = rng.random((G.num_nodes, k)) < p
-        pairs = np.argwhere(present)
-    return AttributedGraph(G.num_nodes, k, G.edges, pairs)
+    present = np.random.default_rng(seed).random((G.num_nodes, k)) < p
+    return AttributedGraph(G.num_nodes, k, G.edges, np.argwhere(present))
 
 
 def planted_instance(spec: PlantedSpec):
@@ -142,10 +137,8 @@ def planted_instance(spec: PlantedSpec):
     F_values = member.astype(np.float64) * spec.strength
 
     W_values = np.zeros((k, c + 1))
-    if k:
-        community_of_attr = rng.integers(0, c, size=k)
-        W_values[np.arange(k), community_of_attr] = spec.weight_scale
-        W_values[:, -1] = spec.bias
+    W_values[np.arange(k), rng.integers(0, c, size=k)] = spec.weight_scale
+    W_values[:, -1] = spec.bias
 
     # One uniform draw per pair u < v, in row-major order (that of a loop over
     # the rows), taken for blocks of rows of about _BLOCK_CELLS pairs at once.
@@ -159,14 +152,9 @@ def planted_instance(spec: PlantedSpec):
         a = b
     edges = np.concatenate(blocks)
 
-    if k:
-        z = F_values @ W_values[:, :-1].T + W_values[:, -1]
-        present = rng.random((n, k)) < _sigmoid(z)
-        attr_pairs = np.argwhere(present)
-    else:
-        attr_pairs = np.zeros((0, 2), dtype=np.int64)
-
-    graph = AttributedGraph(n, k, edges, attr_pairs)
+    z = F_values @ W_values[:, :-1].T + W_values[:, -1]
+    present = rng.random((n, k)) < _sigmoid(z)
+    graph = AttributedGraph(n, k, edges, np.argwhere(present))
     true_F = AffiliationMatrix(F_values)
     true_W = AttributeWeights(W_values)
     truth = threshold_memberships(true_F)

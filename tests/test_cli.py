@@ -139,6 +139,22 @@ class TestDetect:
                        "-o", str(tmp_path / "x")])
             assert rc == 2
 
+    def test_repeated_candidates_exit_2_before_any_fit(self, tmp_path, monkeypatch, capsys):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the candidates were checked")
+
+        monkeypatch.setattr("attricom.cli.fit", no_fit)
+        monkeypatch.setattr("attricom.selection.solver.fit", no_fit)
+        g, _, _, _ = planted_instance(PlantedSpec(n=60, c=2, k=4, seed=1))
+        edges, attrs = tmp_path / "e.tsv", tmp_path / "a.tsv"
+        write_edge_file(edges, g)
+        write_attr_file(attrs, g)
+        rc = main(["detect", "-i", str(edges), "-a", str(attrs), "-c", "auto",
+                   "--candidates", "2,2,3", "-o", str(tmp_path / "run")])
+        assert rc == 2
+        assert "distinct" in capsys.readouterr().err
+        assert not (tmp_path / "run.manifest.tsv").exists()
+
     def test_nonconvergence_still_writes(self, tmp_path, clique_edges):
         out = tmp_path / "run"
         rc = main(["detect", "-i", str(clique_edges), "-c", "2",

@@ -4,8 +4,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from attricom import AttributeWeights, CommunityCover, build_graph
-from attricom.fileio import (FileFormatError, _load_pairs, _read_pair_lines,
-                             read_attr_file,
+from attricom.fileio import (FileFormatError, _load_pairs, _parse_header,
+                             _read_pair_lines, read_attr_file,
                              read_community_file, read_edge_file,
                              read_manifest, read_weights_file, sha256_file,
                              write_attr_file, write_community_file,
@@ -31,6 +31,13 @@ class TestEdgeFile:
         write_edge_file(path, g)
         g2 = build_graph(read_edge_file(path), [], 40, 0)
         assert np.array_equal(g.edges, g2.edges)
+
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        write_edge_file(path, build_graph([(3, 1), (0, 2), (1, 0), (4, 0)], [], 5, 0))
+        assert path.read_bytes() == b"0\t1\n0\t2\n0\t4\n1\t3\n"
+        write_edge_file(path, build_graph([], [], 4, 0))
+        assert path.read_bytes() == b""
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "edges.tsv"
@@ -68,6 +75,13 @@ class TestAttrFile:
         g2 = build_graph([tuple(e) for e in g.edges], pairs, *dims)
         assert np.array_equal(g.attr_pairs, g2.attr_pairs)
 
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "attrs.tsv"
+        write_attr_file(path, build_graph([(0, 1)], [(2, 1), (0, 0), (4, 2)], 5, 3))
+        assert path.read_bytes() == b"#5\t3\n0\t0\n2\t1\n4\t2\n"
+        write_attr_file(path, build_graph([], [], 4, 2))
+        assert path.read_bytes() == b"#4\t2\n"
+
     def test_dims_inferred_without_header(self, tmp_path):
         path = tmp_path / "attrs.tsv"
         path.write_text("0\t2\n4\t0\n")
@@ -79,7 +93,7 @@ class TestAttrFile:
         plain, marked = _write_twins(tmp_path, "#9\t3\n0\t2\n4\t0\n")
         pairs, dims = read_attr_file(marked)
         assert dims == (9, 3) and pairs.tolist() == [[0, 2], [4, 0]]
-        assert _load_pairs(marked).tolist() == pairs.tolist()
+        assert _load_pairs(marked, plain.read_bytes()).tolist() == pairs.tolist()
         assert _read_pair_lines(marked) == _read_pair_lines(plain)
 
 
@@ -107,11 +121,19 @@ def _outcome(read, path):
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2).tolist(), dims
 
 
+def _line_reader(path):
+    """The line reader's pairs, and the dims of the first line as text mode
+    reads it."""
+    with open(path, encoding="utf-8-sig") as fh:
+        first = fh.readline().rstrip("\r\n")
+    return _read_pair_lines(path), _parse_header(first) if first.startswith("#") else None
+
+
 class TestPairFileFastPath:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(lines=st.lists(_LINE, max_size=8),
-           endings=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=8, max_size=8),
+           endings=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=8, max_size=8),
            last_newline=st.booleans(), bom=st.sampled_from(["", BOM]))
     def test_matches_line_reader(self, tmp_path, lines, endings, last_newline, bom):
         text = "".join(line + end for line, end in zip(lines, endings))
@@ -120,10 +142,10 @@ class TestPairFileFastPath:
         plain, path = tmp_path / "plain.tsv", tmp_path / "pairs.tsv"
         plain.write_bytes(text.encode("utf-8"))
         path.write_bytes((bom + text).encode("utf-8"))
-        want = _outcome(_read_pair_lines, plain)
-        assert _outcome(_read_pair_lines, path) == want
+        want = _outcome(_line_reader, plain)
+        assert _outcome(_line_reader, path) == want
         assert _outcome(read_attr_file, path) == want
-        fast = _load_pairs(path)
+        fast = _load_pairs(path, plain.read_bytes())
         if fast is not None:
             assert want[0] != "error"
             assert fast.dtype == np.int64 and fast.tolist() == want[0]
@@ -131,11 +153,15 @@ class TestPairFileFastPath:
     def test_clean_file_takes_fast_path(self, tmp_path):
         path = tmp_path / "attrs.tsv"
         path.write_bytes(b"#9\t3\r\n0\t2\r\n\r\n# note\n+4\t-0\n 5 \t1")
-        assert _load_pairs(path).tolist() == [[0, 2], [4, 0], [5, 1]]
+        assert _load_pairs(path, path.read_bytes()).tolist() == [[0, 2], [4, 0], [5, 1]]
         pairs, dims = read_attr_file(path)
         assert pairs.tolist() == [[0, 2], [4, 0], [5, 1]] and dims == (9, 3)
+        path.write_bytes(b"#9\t3\r0\t2\r# c\r4\t0\r")  # CR-only line ends
+        assert _load_pairs(path, path.read_bytes()).tolist() == [[0, 2], [4, 0]]
+        pairs, dims = read_attr_file(path)
+        assert pairs.tolist() == [[0, 2], [4, 0]] and dims == (9, 3)
         path.write_bytes(b"")
-        assert _load_pairs(path).shape == (0, 2)
+        assert _load_pairs(path, b"").shape == (0, 2)
 
 
 class TestCommunityFile:

@@ -396,3 +396,12 @@ class TestChooseNumCommunities:
             choose_num_communities(g, [], FitConfig())
         with pytest.raises(ValueError):
             choose_num_communities(g, [2, 0], FitConfig())
+
+    def test_rejects_repeated_candidates(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the candidates were checked")
+
+        monkeypatch.setattr("attricom.selection.solver.fit", no_fit)
+        g = build_graph([(0, 1)], [], 4, 0)
+        with pytest.raises(ValueError, match="distinct"):
+            choose_num_communities(g, [2, 2, 3], FitConfig())
