@@ -34,14 +34,11 @@ def _sigmoid(z):
     return np.exp(-np.logaddexp(0.0, np.negative(z)))
 
 
-def _log_q(z):
-    """log sigmoid(z), clamped to [_LOG_LO, _LOG_HI]."""
-    return np.minimum(np.maximum(-np.logaddexp(0.0, np.negative(z)), _LOG_LO), _LOG_HI)
-
-
-def _log_1q(z):
-    """log(1 - sigmoid(z)), clamped to [_LOG_LO, _LOG_HI]."""
-    return np.minimum(np.maximum(-np.logaddexp(0.0, z), _LOG_LO), _LOG_HI)
+def _log_sigmoid(s):
+    """log sigmoid(s) = min(s, 0) - log1p(exp(-|s|)), clamped to [_LOG_LO, _LOG_HI]."""
+    out = np.exp(-np.abs(s))
+    np.subtract(np.minimum(s, 0.0), np.log1p(out, out=out), out=out)
+    return np.minimum(np.maximum(out, _LOG_LO, out=out), _LOG_HI, out=out)
 
 
 def edge_prob(f_u, f_v) -> float:
@@ -113,14 +110,23 @@ def _attr_loglik(k: int, G: AttributedGraph, F: AffiliationMatrix, w: np.ndarray
     and nothing on the nodes whose k cell is unobserved.
 
     This is the one definition of an attribute's term: log_lik_attr sums it
-    over the attributes and the solver's weight step scores its trials by it.
+    over the attributes, and the solver's weight step records it.
     """
     z = F.values @ w[:-1] + w[-1]
-    terms = _log_1q(z)
-    ones = G.attr_node_ids(k)
-    if len(ones):
-        terms[ones] = _log_q(z[ones])
-    terms[G.unobserved_nodes(k)] = 0.0
+    return _signed_loglik(_attr_signs(k, G) * z, G.unobserved_nodes(k))
+
+
+def _attr_signs(k: int, G: AttributedGraph) -> np.ndarray:
+    """+1.0 on the nodes carrying attribute k, -1.0 on the others."""
+    signs = np.full(G.num_nodes, -1.0)
+    signs[G.attr_node_ids(k)] = 1.0
+    return signs
+
+
+def _signed_loglik(s: np.ndarray, hidden: np.ndarray) -> float:
+    """Sum of _log_sigmoid(s) over the nodes not in hidden."""
+    terms = _log_sigmoid(s)
+    terms[hidden] = 0.0
     return float(terms.sum())
 
 
@@ -207,12 +213,12 @@ def _local_objectives(st: _NodeState, rows: np.ndarray) -> np.ndarray:
     total = (1.0 - st.alpha) * lg
     if st.w_head.shape[0]:
         z = rows @ st.w_head.T + st.w_bias
-        log_1q = _log_1q(z)
+        log_1q = _log_sigmoid(-z)
         if len(st.hidden):
             log_1q[:, st.hidden] = 0.0
         lx = log_1q.sum(axis=1)
         if len(st.x_idx):
-            lx += _log_q(z[:, st.x_idx]).sum(axis=1) - log_1q[:, st.x_idx].sum(axis=1)
+            lx += _log_sigmoid(z[:, st.x_idx]).sum(axis=1) - log_1q[:, st.x_idx].sum(axis=1)
         total += st.alpha * lx
     return total
 
@@ -293,8 +299,8 @@ def _batch_local_objectives(st: _BatchState, rows: np.ndarray) -> np.ndarray:
     total = (1.0 - st.alpha) * lg
     if st.w_head.shape[0]:
         z = rows @ st.w_head.T + st.w_bias
-        terms = _log_1q(z)
-        terms[st.x_pos, :, st.x_ids] = _log_q(z[st.x_pos, :, st.x_ids])
+        terms = _log_sigmoid(-z)
+        terms[st.x_pos, :, st.x_ids] = _log_sigmoid(z[st.x_pos, :, st.x_ids])
         if len(st.h_ids):
             terms[st.h_pos, :, st.h_ids] = 0.0
         total += st.alpha * terms.sum(axis=2)
@@ -319,13 +325,15 @@ def grad_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
 
     The l1 subgradient is not included here; the solver applies it.
     """
-    w = W.values[k]
-    V = F.values
-    z = V @ w[:-1] + w[-1]
+    return _attr_grad(k, G, F.values, F.values @ W.values[k, :-1] + W.values[k, -1])
+
+
+def _attr_grad(k: int, G: AttributedGraph, V: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """grad_attr_weights given z = V @ w[:-1] + w[-1] at attribute k's weights."""
     resid = -_sigmoid(z)
     resid[G.attr_node_ids(k)] += 1.0
     resid[G.unobserved_nodes(k)] = 0.0
-    g = np.empty(w.shape[0])
+    g = np.empty(V.shape[1] + 1)
     g[:-1] = V.T @ resid
     g[-1] = float(resid.sum())
     return g

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import solver
 from .core import AttributedGraph, FitConfig, contains, distinct_keys, pair_keys
-from .likelihood import _edge_log_terms, _log_1q, _log_q, _pair_dots
+from .likelihood import _edge_log_terms, _log_sigmoid, _pair_dots
 
 _SMALL_N = 2000
 _DENSE_ATTR_LIMIT = 5_000_000
@@ -144,7 +144,7 @@ def holdout_loglik(G: AttributedGraph, F, W, mask: HoldoutMask,
         nodes = mask.training_graph.unobserved_nodes(k)
         z = V[nodes] @ W.values[k, :-1] + W.values[k, -1]
         present = contains(G.attr_node_ids(k), nodes)
-        lx += float(np.where(present, _log_q(z), _log_1q(z)).sum())
+        lx += float(_log_sigmoid(np.where(present, z, -z)).sum())
     return (1.0 - config.alpha) * lg + config.alpha * lx
 
 

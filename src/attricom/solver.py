@@ -13,10 +13,10 @@ import numpy as np
 from .core import (MAX_MEMBERSHIP, AffiliationMatrix, AttributedGraph,
                    AttributeWeights, CommunityCover, FitConfig,
                    refresh_column_sums)
-from .likelihood import (ObjectiveValue, _attr_loglik, _batch_grad,
-                         _batch_local_objectives, _BatchState, _grad_from_state,
-                         _local_objectives, _node_state, grad_attr_weights,
-                         objective)
+from .likelihood import (ObjectiveValue, _attr_grad, _attr_loglik, _attr_signs,
+                         _batch_grad, _batch_local_objectives, _BatchState,
+                         _grad_from_state, _local_objectives, _node_state,
+                         _signed_loglik, objective)
 from .seeding import init_affiliations
 
 # Backtracking line search of every block update: trial steps 0.3**i for
@@ -206,31 +206,33 @@ def update_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
     The ascent direction is alpha * data-gradient minus lam * sign(w) on the
     non-bias coordinates with sign(0) = 0; the bias is unpenalized. Accepts
     and shrinks exactly as update_node, on the per-attribute objective
-    alpha * likelihood._attr_loglik - lam * ||w||_1 (bias excluded).
-    Returns the weights kept. With attr_terms (a list of one entry per
-    attribute), attr_terms[k] receives _attr_loglik at the weights kept, the
-    line search's own value where it evaluated them.
+    alpha * likelihood._attr_loglik - lam * ||w||_1 (bias excluded), trial t
+    scored as sign * (z + t * dz) from z (shared with the gradient) and
+    dz = V @ d[:-1] + d[-1] formed once. Returns the weights kept; with
+    attr_terms (one entry per attribute), attr_terms[k] receives their term.
     """
-    def penalized(w):
-        loglik = _attr_loglik(k, G, F, w)
-        return config.alpha * loglik - config.lam * float(np.abs(w[:-1]).sum()), loglik
-
+    V, hidden = F.values, G.unobserved_nodes(k)
     w_old = kept = W.values[k].copy()
-    d = config.alpha * grad_attr_weights(k, G, F, W)
+    z = V @ w_old[:-1] + w_old[-1]
+    d = config.alpha * _attr_grad(k, G, V, z)
     d[:-1] -= config.lam * np.sign(w_old[:-1])
     d_norm2 = float(d @ d)
-    loglik = None
+    signs = _attr_signs(k, G)
+    s0 = signs * z
+    loglik = _signed_loglik(s0, hidden)  # _attr_loglik(k, G, F, w_old), bit for bit
     if d_norm2 != 0.0:
-        base, loglik = penalized(w_old)
+        base = config.alpha * loglik - config.lam * float(np.abs(w_old[:-1]).sum())
+        ds = signs * (V @ d[:-1] + d[-1])
         for t in _STEPS:
             cand = w_old + t * d
-            value, cand_loglik = penalized(cand)
+            value = (config.alpha * _signed_loglik(s0 + t * ds, hidden)
+                     - config.lam * float(np.abs(cand[:-1]).sum()))
             if value - base >= _ARMIJO * t * d_norm2:
                 W.values[k] = kept = cand
-                loglik = cand_loglik
                 break
     if attr_terms is not None:
-        attr_terms[k] = _attr_loglik(k, G, F, kept) if loglik is None else loglik
+        # s0 + t * ds differs from the signed V @ cand in the last bits.
+        attr_terms[k] = loglik if kept is w_old else _attr_loglik(k, G, F, kept)
     return kept
 
 

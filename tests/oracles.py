@@ -101,6 +101,32 @@ def naive_grad_attr_weights(k, G, F, W, masked=frozenset()):
     return g
 
 
+def loop_update_attr_weights(k, G, F, W, config):
+    """The weights update_attr_weights keeps for attribute k, with every trial
+    scored by _attr_loglik at its own candidate w_old + t * d; W is left as
+    it is."""
+    from attricom import grad_attr_weights
+    from attricom.likelihood import _attr_loglik
+    from attricom.solver import _ARMIJO, _STEPS
+
+    def penalized(w):
+        return (config.alpha * _attr_loglik(k, G, F, w)
+                - config.lam * float(np.abs(w[:-1]).sum()))
+
+    w_old = W.values[k].copy()
+    d = config.alpha * grad_attr_weights(k, G, F, W)
+    d[:-1] -= config.lam * np.sign(w_old[:-1])
+    d_norm2 = float(d @ d)
+    if d_norm2 == 0.0:
+        return w_old
+    base = penalized(w_old)
+    for t in _STEPS:
+        cand = w_old + t * d
+        if penalized(cand) - base >= _ARMIJO * t * d_norm2:
+            return cand
+    return w_old
+
+
 def central_difference(fun, x, h=1e-6):
     g = np.zeros(len(x))
     for i in range(len(x)):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from attricom import AttributeWeights, CommunityCover, build_graph
@@ -135,6 +135,10 @@ class TestPairFileFastPath:
     @given(lines=st.lists(_LINE, max_size=8),
            endings=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=8, max_size=8),
            last_newline=st.booleans(), bom=st.sampled_from(["", BOM]))
+    # A header ended by a lone '\r' and followed by more text: a header cut
+    # at '\n' alone reads as no header here.
+    @example(lines=["#9\t3", "0\t2", "4\t0"], endings=["\r"] + ["\n"] * 7,
+             last_newline=True, bom="")
     def test_matches_line_reader(self, tmp_path, lines, endings, last_newline, bom):
         text = "".join(line + end for line, end in zip(lines, endings))
         if lines and not last_newline:

@@ -7,7 +7,8 @@ from attricom import (AffiliationMatrix, AttributedGraph, AttributeWeights,
                       FitConfig, attr_prob, build_graph, edge_prob,
                       grad_attr_weights, grad_node, log_lik_attr, log_lik_graph,
                       make_holdout, objective)
-from attricom.likelihood import _local_objectives, _node_state
+from attricom.likelihood import (_LOG_HI, _LOG_LO, _local_objectives, _log_sigmoid,
+                                 _node_state)
 
 from oracles import (central_difference, naive_grad_attr_weights,
                      naive_grad_node, naive_log_lik_attr, naive_log_lik_graph,
@@ -50,6 +51,25 @@ class TestAttrProb:
         p = attr_prob([0.0, -20.0], [5.0])
         assert p == pytest.approx(2.0611536181902037e-09, rel=1e-9)
         assert p > 0.0
+
+
+class TestLogSigmoid:
+    EDGES = np.array([0.0, 1e-300, 27.6, 745.0, 1e308, np.inf])
+
+    @staticmethod
+    def _clamped(x):
+        return np.minimum(np.maximum(x, _LOG_LO), _LOG_HI)
+
+    def test_matches_clamped_logaddexp_within_one_ulp(self):
+        s = np.concatenate([self.EDGES, -self.EDGES,
+                            np.random.default_rng(0).normal(scale=20.0, size=1000)])
+        for got, want in ((_log_sigmoid(s), self._clamped(-np.logaddexp(0.0, -s))),
+                          (_log_sigmoid(-s), self._clamped(-np.logaddexp(0.0, s)))):
+            assert (np.abs(got - want) <= np.spacing(np.abs(want))).all()
+            assert ((got >= _LOG_LO) & (got <= _LOG_HI)).all()
+
+    def test_saturates_at_the_clamp(self):
+        assert _log_sigmoid(np.array([np.inf, -np.inf])).tolist() == [_LOG_HI, _LOG_LO]
 
 
 class TestLogLikGraph:

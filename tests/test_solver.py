@@ -18,7 +18,8 @@ from attricom.likelihood import (_attr_loglik, _BatchState, _local_objectives,
                                  _node_state)
 from attricom.solver import _node_runs, _propose_batch
 
-from oracles import clamp_prob, has_attr, naive_log_lik_attr, sigmoid
+from oracles import (clamp_prob, has_attr, loop_update_attr_weights,
+                     naive_log_lik_attr, sigmoid)
 
 TWO_CLIQUES = ([(u, v) for u in range(5) for v in range(u + 1, 5)]
                + [(u, v) for u in range(5, 10) for v in range(u + 1, 10)])
@@ -181,6 +182,28 @@ class TestUpdateAttrWeights:
             assert _attr_loglik(k, g, F, W.values[k]) == pytest.approx(per_attr, abs=1e-10)
             w = update_attr_weights(k, g, F, W, cfg)
             assert naive(k, w)[1] > before
+
+    def test_keeps_the_weights_of_trials_scored_at_their_candidates(self):
+        """Trials scored along the direction keep the weights that scoring
+        each candidate by its own _attr_loglik keeps, on whole and held-out
+        graphs, and on a saturated one where no trial passes."""
+        rng = np.random.default_rng(7)
+        cases = [(build_graph([], [(u, 0) for u in range(3)], 3, 1),
+                  AffiliationMatrix(np.ones((3, 1))), AttributeWeights([[1e-12, 50.0]]),
+                  FitConfig(lam=1.0))]
+        for seed in range(4):
+            g = _planted_like(rng, n=24, c=3, k=4)
+            for G in (g, make_holdout(g, 0.2, seed).training_graph):
+                for lam in (0.0, 1.0, 50.0):
+                    cases.append((G, AffiliationMatrix(rng.uniform(0, 1.5, size=(24, 3))),
+                                  AttributeWeights(rng.uniform(-1, 1, size=(4, 4))),
+                                  FitConfig(alpha=0.6, lam=lam)))
+        for G, F, W, cfg in cases:
+            for _ in range(3):
+                for k in range(G.num_attrs):
+                    want = loop_update_attr_weights(k, G, F, W, cfg)
+                    assert np.array_equal(update_attr_weights(k, G, F, W, cfg), want)
+                    assert np.array_equal(W.values[k], want)
 
     def test_records_the_term_of_the_weights_kept(self):
         rng = np.random.default_rng(6)
