@@ -140,36 +140,27 @@ def log_lik_attr(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights) 
 
 
 class _NodeState:
-    """Per-node snapshot used by gradient and line-search evaluations."""
+    """Node u's snapshot used by gradient and line-search evaluations."""
 
     __slots__ = ("f_nbrs", "s_minus", "w_head", "w_bias", "x_idx", "hidden", "alpha")
 
-    def __init__(self, f_nbrs, s_minus, w_head, w_bias, x_idx, hidden, alpha):
-        self.f_nbrs = f_nbrs
-        self.s_minus = s_minus
-        self.w_head = w_head
-        self.w_bias = w_bias
-        self.x_idx = x_idx  # indices of attributes present on the node
-        self.hidden = hidden  # indices of attributes whose cell on the node is unobserved
-        self.alpha = alpha
-
-
-def _node_state(u: int, G: AttributedGraph, F: AffiliationMatrix,
-                W: AttributeWeights, config: FitConfig) -> _NodeState:
-    V = F.values
-    indptr, indices = G.adjacency
-    f_nbrs = V[indices[indptr[u]:indptr[u + 1]]]
-    # Unobserved partners leave the non-neighbor sum as neighbors do, and
-    # unobserved cells are zeroed where the attribute terms are formed; a
-    # whole graph has neither.
-    s_minus = F.column_sums - V[u] - f_nbrs.sum(axis=0)
-    hidden = ()
-    if len(G.unobserved_pairs) or len(G.unobserved_cells):
-        partners, hidden = G.unobserved_of(u)
-        if len(partners):
-            s_minus -= V[partners].sum(axis=0)
-    return _NodeState(f_nbrs, s_minus, W.values[:, :-1], W.values[:, -1],
-                      G.node_attr_ids(u), hidden, config.alpha)
+    def __init__(self, u: int, G: AttributedGraph, F: AffiliationMatrix,
+                 W: AttributeWeights, config: FitConfig):
+        V = F.values
+        indptr, indices = G.adjacency
+        self.f_nbrs = V[indices[indptr[u]:indptr[u + 1]]]
+        # Unobserved partners leave the non-neighbor sum as neighbors do, and
+        # unobserved cells are zeroed where the attribute terms are formed; a
+        # whole graph has neither.
+        self.s_minus = F.column_sums - V[u] - self.f_nbrs.sum(axis=0)
+        self.hidden = ()  # indices of attributes whose cell on the node is unobserved
+        if len(G.unobserved_pairs) or len(G.unobserved_cells):
+            partners, self.hidden = G.unobserved_of(u)
+            if len(partners):
+                self.s_minus -= V[partners].sum(axis=0)
+        self.w_head, self.w_bias = W.values[:, :-1], W.values[:, -1]
+        self.x_idx = G.node_attr_ids(u)  # indices of attributes present on the node
+        self.alpha = config.alpha
 
 
 def _edge_ratios(dots: np.ndarray) -> np.ndarray:
@@ -181,24 +172,18 @@ def _edge_ratios(dots: np.ndarray) -> np.ndarray:
     core.MIN_DOT_GUARD). Above ~700 the ratio underflows to 0 anyway;
     capping avoids a spurious expm1 overflow.
     """
-    active = dots > MIN_DOT_GUARD
-    if active.all():
-        return 1.0 / np.expm1(np.minimum(dots, 700.0))
-    ratio = np.zeros(len(dots))
-    if active.any():
-        ratio[active] = 1.0 / np.expm1(np.minimum(dots[active], 700.0))
-    return ratio
+    return np.divide(1.0, np.expm1(np.minimum(dots, 700.0)), out=np.zeros(len(dots)),
+                     where=dots > MIN_DOT_GUARD)
 
 
 def _grad_from_state(st: _NodeState, f_row: np.ndarray) -> np.ndarray:
     g = st.f_nbrs.T @ _edge_ratios(st.f_nbrs @ f_row) - st.s_minus
     g *= 1.0 - st.alpha
-    if st.w_head.shape[0]:
-        resid = -_sigmoid(st.w_head @ f_row + st.w_bias)
-        resid[st.x_idx] += 1.0
-        if len(st.hidden):
-            resid[st.hidden] = 0.0
-        g += st.alpha * (st.w_head.T @ resid)
+    resid = -_sigmoid(st.w_head @ f_row + st.w_bias)
+    resid[st.x_idx] += 1.0
+    if len(st.hidden):
+        resid[st.hidden] = 0.0
+    g += st.alpha * (st.w_head.T @ resid)
     return g
 
 
@@ -211,15 +196,14 @@ def _local_objectives(st: _NodeState, rows: np.ndarray) -> np.ndarray:
     dots = rows @ st.f_nbrs.T
     lg = _edge_log_terms(dots).sum(axis=1) - rows @ st.s_minus
     total = (1.0 - st.alpha) * lg
-    if st.w_head.shape[0]:
-        z = rows @ st.w_head.T + st.w_bias
-        log_1q = _log_sigmoid(-z)
-        if len(st.hidden):
-            log_1q[:, st.hidden] = 0.0
-        lx = log_1q.sum(axis=1)
-        if len(st.x_idx):
-            lx += _log_sigmoid(z[:, st.x_idx]).sum(axis=1) - log_1q[:, st.x_idx].sum(axis=1)
-        total += st.alpha * lx
+    z = rows @ st.w_head.T + st.w_bias
+    log_1q = _log_sigmoid(-z)
+    if len(st.hidden):
+        log_1q[:, st.hidden] = 0.0
+    lx = log_1q.sum(axis=1)
+    if len(st.x_idx):
+        lx += _log_sigmoid(z[:, st.x_idx]).sum(axis=1) - log_1q[:, st.x_idx].sum(axis=1)
+    total += st.alpha * lx
     return total
 
 
@@ -281,12 +265,11 @@ def _batch_grad(st: _BatchState, f: np.ndarray) -> np.ndarray:
     ratio = _edge_ratios(np.einsum("rc,rc->r", st.f_nbrs, f[st.pos]))
     g = _segment_sums(st.f_nbrs * ratio[:, np.newaxis], st.counts) - st.s_minus
     g *= 1.0 - st.alpha
-    if st.w_head.shape[0]:
-        resid = -_sigmoid(f @ st.w_head.T + st.w_bias)
-        resid[st.x_pos, st.x_ids] += 1.0
-        if len(st.h_ids):
-            resid[st.h_pos, st.h_ids] = 0.0
-        g += st.alpha * (resid @ st.w_head)
+    resid = -_sigmoid(f @ st.w_head.T + st.w_bias)
+    resid[st.x_pos, st.x_ids] += 1.0
+    if len(st.h_ids):
+        resid[st.h_pos, st.h_ids] = 0.0
+    g += st.alpha * (resid @ st.w_head)
     return g
 
 
@@ -297,13 +280,12 @@ def _batch_local_objectives(st: _BatchState, rows: np.ndarray) -> np.ndarray:
     lg = _segment_sums(_edge_log_terms(dots), st.counts)
     lg -= np.einsum("btc,bc->bt", rows, st.s_minus)
     total = (1.0 - st.alpha) * lg
-    if st.w_head.shape[0]:
-        z = rows @ st.w_head.T + st.w_bias
-        terms = _log_sigmoid(-z)
-        terms[st.x_pos, :, st.x_ids] = _log_sigmoid(z[st.x_pos, :, st.x_ids])
-        if len(st.h_ids):
-            terms[st.h_pos, :, st.h_ids] = 0.0
-        total += st.alpha * terms.sum(axis=2)
+    z = rows @ st.w_head.T + st.w_bias
+    terms = _log_sigmoid(-z)
+    terms[st.x_pos, :, st.x_ids] = _log_sigmoid(z[st.x_pos, :, st.x_ids])
+    if len(st.h_ids):
+        terms[st.h_pos, :, st.h_ids] = 0.0
+    total += st.alpha * terms.sum(axis=2)
     return total
 
 
@@ -315,8 +297,7 @@ def grad_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
     sums; the attribute part excludes the bias column, which is not a
     coordinate of the membership row.
     """
-    st = _node_state(u, G, F, W, config)
-    return _grad_from_state(st, F.values[u])
+    return _grad_from_state(_NodeState(u, G, F, W, config), F.values[u])
 
 
 def grad_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,

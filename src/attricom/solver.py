@@ -15,7 +15,7 @@ from .core import (MAX_MEMBERSHIP, AffiliationMatrix, AttributedGraph,
                    refresh_column_sums)
 from .likelihood import (ObjectiveValue, _attr_grad, _attr_loglik, _attr_signs,
                          _batch_grad, _batch_local_objectives, _BatchState,
-                         _grad_from_state, _local_objectives, _node_state,
+                         _grad_from_state, _local_objectives, _NodeState,
                          _signed_loglik, objective)
 from .seeding import init_affiliations
 
@@ -66,6 +66,16 @@ def _trial_rows(f_old: np.ndarray, g: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _movable(f_old: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Whether a projected step can change each row of f_old, given its
+    gradient g; both are (..., C). Projection locks a coordinate whenever
+    the step would leave the box: at 0 with g < 0, at MAX_MEMBERSHIP with
+    g > 0, and wherever g is zero. A row with every coordinate locked equals
+    f_old at any step size, so all its trials would fail the (strictly
+    positive) Armijo test."""
+    return (((g > 0.0) & (f_old < MAX_MEMBERSHIP)) | ((g < 0.0) & (f_old > 0.0))).any(axis=-1)
+
+
 def update_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
                 W: AttributeWeights, config: FitConfig, settled=None) -> bool:
     """One backtracking projected-gradient step on node u's membership row.
@@ -82,18 +92,12 @@ def update_node(u: int, G: AttributedGraph, F: AffiliationMatrix,
     """
     if settled is not None and settled[u]:
         return False
-    st = _node_state(u, G, F, W, config)
+    st = _NodeState(u, G, F, W, config)
     f_old = F.values[u].copy()
     g = _grad_from_state(st, f_old)
+    if not _movable(f_old, g):
+        return False
     g_norm2 = float(g @ g)
-    if g_norm2 == 0.0:
-        return False
-    # Projection locks a coordinate whenever the step would leave the box;
-    # if every coordinate is locked the candidate equals f_old for any step
-    # size, so all trials would fail the (strictly positive) Armijo test.
-    movable = ((g > 0.0) & (f_old < MAX_MEMBERSHIP)) | ((g < 0.0) & (f_old > 0.0))
-    if not movable.any():
-        return False
 
     # All trial steps are evaluated in one batch, with f_old as row 0; the
     # first (largest) step passing the Armijo test is taken.
@@ -152,8 +156,7 @@ def _propose_batch(nodes: np.ndarray, G: AttributedGraph, F: AffiliationMatrix,
         st = st.take(keep)
     f_old = F.values[nodes]
     g = _batch_grad(st, f_old)
-    movable = ((g > 0.0) & (f_old < MAX_MEMBERSHIP)) | ((g < 0.0) & (f_old > 0.0))
-    active = movable.any(axis=1)
+    active = _movable(f_old, g)
     if not active.all():  # as in update_node, a screened-out node skips the line search
         if not active.any():
             return nodes[:0], f_old[:0], 0.0
@@ -269,7 +272,6 @@ def fit(G: AttributedGraph, C: int, config: FitConfig | None = None,
 
     F = init_affiliations(G, C, config.rng_seed)
     W = AttributeWeights(np.zeros((G.num_attrs, C + 1)))
-    refresh_column_sums(F)
 
     trace = [objective(G, F, W, config)]
     iter_seconds: list[float] = []

@@ -8,7 +8,7 @@ from attricom import (AffiliationMatrix, AttributedGraph, AttributeWeights,
                       grad_attr_weights, grad_node, log_lik_attr, log_lik_graph,
                       make_holdout, objective)
 from attricom.likelihood import (_LOG_HI, _LOG_LO, _local_objectives, _log_sigmoid,
-                                 _node_state)
+                                 _NodeState)
 
 from oracles import (central_difference, naive_grad_attr_weights,
                      naive_grad_node, naive_log_lik_attr, naive_log_lik_graph,
@@ -264,7 +264,7 @@ class TestLocalObjectives:
                     rows = np.vstack([F.values[u],
                                       rng.uniform(0.0, 2.0, size=(4, F.num_communities))])
                     rows[1, 0] = 0.0
-                    local = _local_objectives(_node_state(u, g, F, W, cfg), rows)
+                    local = _local_objectives(_NodeState(u, g, F, W, cfg), rows)
                     base = objective(g, F, W, cfg).scaled_total
                     for row, value in zip(rows[1:], local[1:]):
                         moved = F.values.copy()

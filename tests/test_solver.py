@@ -15,7 +15,7 @@ from attricom import (MAX_MEMBERSHIP, AffiliationMatrix, AttributeWeights,
                       rank_attributes, refresh_column_sums, threshold_memberships,
                       update_attr_weights, update_node)
 from attricom.likelihood import (_attr_loglik, _BatchState, _local_objectives,
-                                 _node_state)
+                                 _NodeState)
 from attricom.solver import _node_runs, _propose_batch
 
 from oracles import (clamp_prob, has_attr, loop_update_attr_weights,
@@ -55,7 +55,7 @@ class TestUpdateNode:
         F = AffiliationMatrix([[0.5], [1.0]])
         W = AttributeWeights(np.zeros((0, 2)))
         cfg = FitConfig(alpha=0.0)
-        st = _node_state(0, g, F, W, cfg)
+        st = _NodeState(0, g, F, W, cfg)
         before = _local_objectives(st, F.values[0][np.newaxis])[0]
         assert update_node(0, g, F, W, cfg) is True
         after = _local_objectives(st, F.values[0][np.newaxis])[0]
@@ -100,7 +100,7 @@ class TestUpdateNode:
         W = AttributeWeights(rng.normal(size=(g.num_attrs, 3)))
         cfg = FitConfig()
         for u in range(g.num_nodes):
-            st = _node_state(u, g, F, W, cfg)
+            st = _NodeState(u, g, F, W, cfg)
             f_old = F.values[u].copy()
             grad = grad_node(u, g, F, W, cfg)
             want, t = f_old, 1.0
@@ -126,6 +126,37 @@ class TestUpdateNode:
         assert update_node(0, g, F, W, FitConfig()) is True
         assert F.values[0].tolist() == [MAX_MEMBERSHIP]
         assert F.column_sums.tolist() == [MAX_MEMBERSHIP]
+
+
+class TestMovable:
+    CAP = MAX_MEMBERSHIP
+    # (row, gradient, movable): locked at 0 with g < 0, at the cap with g > 0,
+    # and wherever g is +-0.0; one free coordinate frees the row.
+    CASES = [
+        ([0.0, 0.0], [-1.0, -2.5], False),
+        ([CAP, CAP], [3.0, 1e-300], False),
+        ([0.0, CAP], [-1.0, 2.0], False),
+        ([0.5, 1.0], [0.0, -0.0], False),
+        ([0.0, CAP], [0.0, -0.0], False),
+        ([0.0, 0.5], [-1.0, 0.0], False),
+        ([0.0, 0.5], [-1.0, 1e-300], True),
+        ([0.0, 0.5], [-1.0, -0.25], True),
+        ([CAP, 0.0], [2.0, 0.5], True),
+        ([CAP, 0.0], [-2.0, -0.5], True),
+        ([0.0, CAP], [1e-9, 2.0], True),
+    ]
+
+    @pytest.mark.parametrize("row, g, want", CASES)
+    def test_hand_rows(self, row, g, want):
+        assert bool(solver._movable(np.array(row), np.array(g))) is want
+
+    def test_stacked_rows_agree_with_single_rows(self):
+        rows = np.array([row for row, _, _ in self.CASES])
+        grads = np.array([g for _, g, _ in self.CASES])
+        stacked = solver._movable(rows, grads)
+        assert stacked.shape == (len(self.CASES),) and stacked.dtype == bool
+        assert stacked.tolist() == [bool(solver._movable(r, g)) for r, g in zip(rows, grads)]
+        assert stacked.tolist() == [want for _, _, want in self.CASES]
 
 
 class TestUpdateAttrWeights:
@@ -518,9 +549,12 @@ class TestBatchKernel:
         assert objective(g, F, W, cfg).scaled_total > before
         assert not np.array_equal(F.values[:20], np.full((20, 1), 0.01))
 
-    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("masked", [False, True, pytest.param(None, id="no-attrs")])
     def test_one_node_proposal_is_update_node(self, masked):
-        G = _batched_graph(masked)
+        # None: _batched_graph's edges with no attributes (K = 0).
+        G = _batched_graph(bool(masked))
+        if masked is None:
+            G = build_graph(G.edges, [], G.num_nodes, 0)
         F = init_affiliations(G, 3, seed=2)
         W = AttributeWeights(np.random.default_rng(2).normal(size=(G.num_attrs, 4)))
         cfg = FitConfig()
