@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffiliationMatrix, AttributedGraph, contains, pair_keys
+from .core import AffiliationMatrix, AttributedGraph, pair_keys
 
 
 @dataclass(frozen=True)
@@ -20,6 +20,50 @@ class SeedSet:
 
 # Node pairs looked up per step of the triangle count; bounds its memory.
 _PAIR_CHUNK = 1 << 13
+# Odd 64-bit multiplier of the key hash, 2^64 over the golden ratio.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+class _KeySet:
+    """A set of distinct non-negative int64 keys, for membership tests of many
+    keys at once.
+
+    Open addressing with linear probing in the smallest power-of-two table of
+    at least three slots per key, -1 marking an empty slot. A key's first
+    slot is the top bits of key * _HASH_MULTIPLIER mod 2^64. Inserts and
+    lookups move every key still pending one slot on per round, as array
+    operations.
+    """
+
+    def __init__(self, keys: np.ndarray):
+        bits = max(1, (3 * keys.size - 1).bit_length())
+        self._shift = np.uint64(64 - bits)
+        self._mask = (1 << bits) - 1
+        self._table = np.full(1 << bits, -1, dtype=np.int64)
+        slot = self._home(keys)
+        while keys.size:
+            free = self._table[slot] < 0
+            self._table[slot[free]] = keys[free]  # one of the keys sharing a slot lands
+            wait = self._table[slot] != keys
+            keys, slot = keys[wait], (slot[wait] + 1) & self._mask
+
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        return ((keys.view(np.uint64) * _HASH_MULTIPLIER) >> self._shift).view(np.int64)
+
+    def contains(self, keys: np.ndarray) -> np.ndarray:
+        """Whether each of keys is in the set."""
+        slot = self._home(keys)
+        held = self._table[slot]
+        found = held == keys
+        pending = np.flatnonzero(~found & (held >= 0))  # their slot holds another key
+        step = 0
+        while pending.size:
+            step += 1
+            held = self._table[(slot[pending] + step) & self._mask]
+            hit = held == keys[pending]
+            found[pending[hit]] = True
+            pending = pending[~hit & (held >= 0)]
+        return found
 
 
 def conductance(G: AttributedGraph, S) -> float:
@@ -51,43 +95,46 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.nda
     return starts[owner] + offsets, owner
 
 
-def _is_edge(edge_keys: np.ndarray, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether each (a, b) is an edge, by lookup in the sorted edge pair keys."""
-    return contains(edge_keys, pair_keys(np.minimum(a, b), np.maximum(a, b), n))
+def _is_edge(edge_keys: _KeySet, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each (a, b) is an edge, by lookup in the set of edge pair keys."""
+    return edge_keys.contains(pair_keys(np.minimum(a, b), np.maximum(a, b), n))
 
 
-def _triangles(G: AttributedGraph, edge_keys: np.ndarray) -> np.ndarray:
+def _triangles(G: AttributedGraph, edge_keys: _KeySet) -> np.ndarray:
     """Number of triangles at each node.
 
     Each edge points from its lower (degree, id) end to its higher one, so a
     triangle is found once, as the one pair of out-neighbors of its lowest
     node that is an edge. The O(sum of squared out-degrees) pairs are looked
-    up in chunks of about _PAIR_CHUNK.
+    up in chunks of about _PAIR_CHUNK, and each hit is counted on the two
+    out-edges that found it.
     """
     n = G.num_nodes
     u, v = G.edges[:, 0], G.edges[:, 1]
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(G.degrees, kind="stable")] = np.arange(n)
     flip = rank[u] > rank[v]
-    src = np.where(flip, v, u)
-    order = np.argsort(src, kind="stable")
-    src = src[order]
-    dst = np.where(flip, u, v)[order]
-    del flip, order
+    out_keys = pair_keys(np.where(flip, v, u), np.where(flip, u, v), n)
+    del flip
+    out_keys.sort()
+    src, dst = np.divmod(out_keys, n)  # out-edges by source, each run by target
+    del out_keys
     # Out-edge i pairs with each out-edge after it in its source's run.
     run_end = np.cumsum(np.bincount(src, minlength=n))
     cum = np.cumsum(run_end[src] - np.arange(src.size) - 1)  # pairs up to each out-edge
     total = int(cum[-1]) if cum.size else 0
     bounds = np.unique(np.searchsorted(cum, np.arange(0, total, _PAIR_CHUNK), side="right"))
-    t = np.zeros(n, dtype=np.int64)
+    as_first = np.zeros(src.size, dtype=np.int64)  # triangles each out-edge found
+    as_second = np.zeros(src.size, dtype=np.int64)
     for start, stop in zip(bounds, [*bounds[1:], src.size]):
-        entries = np.arange(start, stop)
-        second, owner = _ranges(entries + 1, run_end[src[entries]] - entries - 1)
-        first = entries[owner]
-        hit = _is_edge(edge_keys, n, dst[first], dst[second])
-        t += np.bincount(np.concatenate([src[first[hit]], dst[first[hit]], dst[second[hit]]]),
-                         minlength=n)
-    return t
+        after = np.arange(start + 1, stop + 1)
+        second, owner = _ranges(after, run_end[src[start:stop]] - after)
+        hit = np.flatnonzero(edge_keys.contains(pair_keys(dst[start + owner], dst[second], n)))
+        as_first[start:stop] += np.bincount(owner[hit], minlength=stop - start)
+        found = np.bincount(second[hit] - start)
+        as_second[start:start + found.size] += found
+    return (np.bincount(src, weights=as_first, minlength=n)
+            + np.bincount(dst, weights=as_first + as_second, minlength=n)).astype(np.int64)
 
 
 def locally_minimal_neighborhoods(G: AttributedGraph) -> list[SeedSet]:
@@ -105,16 +152,26 @@ def locally_minimal_neighborhoods(G: AttributedGraph) -> list[SeedSet]:
     vol(N[u]) = d_u + sum of d_v over v in N(u), and N[u] holds d_u + t_u
     edges, t_u the triangles at u, so cut = vol - 2 (d_u + t_u). Counting
     triangles is the only superlinear step, O(sum over u of d+_u^2) with
-    edges oriented by (degree, id); it looks node pairs up in chunks of
-    about 2^13 (_PAIR_CHUNK), which bounds its memory. Two adjacent nodes
+    edges oriented by (degree, id). It looks node pairs up in a hashed set of
+    the edge pair keys (3 to 6 table slots per edge, about 1.3 probes per
+    lookup), in chunks of about 2^13 pairs (_PAIR_CHUNK), which bounds the
+    rest of its memory. Two adjacent nodes
     have the same closed neighborhood exactly when d_u = d_v = c_uv + 1,
     c_uv their common neighbors; that is counted only on edges whose ends
     tie in degree and conductance.
     """
+    centers, phi = _seed_centers(G)
+    return [SeedSet(frozenset([int(c), *G.neighbors(c).tolist()]), float(phi[c]), int(c))
+            for c in centers]
+
+
+def _seed_centers(G: AttributedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The centers of locally_minimal_neighborhoods, in its order, and the
+    conductance phi of every node's closed neighborhood."""
     n = G.num_nodes
     degs = G.degrees
     u, v = G.edges[:, 0], G.edges[:, 1]
-    edge_keys = pair_keys(u, v, n)
+    edge_keys = _KeySet(pair_keys(u, v, n))
 
     vol = degs + (np.bincount(u, weights=degs[v], minlength=n)
                   + np.bincount(v, weights=degs[u], minlength=n)).astype(np.int64)
@@ -136,9 +193,7 @@ def locally_minimal_neighborhoods(G: AttributedGraph) -> list[SeedSet]:
               + np.bincount(v[~(phi[v] < phi[u]) | same], minlength=n))
     keep = (beaten == 0) & (degs < n - 1)
     centers = np.flatnonzero(keep)
-    centers = centers[np.lexsort((centers, phi[centers]))]
-    return [SeedSet(frozenset([int(c), *G.neighbors(c).tolist()]), float(phi[c]), int(c))
-            for c in centers]
+    return centers[np.lexsort((centers, phi[centers]))], phi
 
 
 def init_affiliations(G: AttributedGraph, C: int, seed: int) -> AffiliationMatrix:
@@ -157,15 +212,18 @@ def init_affiliations(G: AttributedGraph, C: int, seed: int) -> AffiliationMatri
     if C < 1:
         raise ValueError("community count must be >= 1")
     n = G.num_nodes
-    seeds = locally_minimal_neighborhoods(G)
+    centers, _ = _seed_centers(G)
+    sizes = G.degrees[centers] + 1  # closed neighborhoods
     values = np.zeros((n, C))
-    take = min(C, len(seeds))
-    for j in range(take):
-        values[sorted(seeds[j].members), j] = 1.0
+    take = min(C, centers.size)
+    indptr, indices = G.adjacency
+    nbr_pos, column = _ranges(indptr[centers[:take]], sizes[:take] - 1)
+    values[indices[nbr_pos], column] = 1.0
+    values[centers[:take], np.arange(take)] = 1.0
 
     if take < C:
-        if seeds:
-            avg_size = sum(len(s.members) for s in seeds) / len(seeds)
+        if take:
+            avg_size = int(sizes.sum()) / centers.size
         else:
             avg_size = 1.0 + 2.0 * G.num_edges / n
         p = min(1.0, max(avg_size / n, 1.0 / n))

@@ -3,8 +3,8 @@ communities, and uniform edge removal for robustness experiments."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -71,42 +71,35 @@ def forest_fire(params: ForestFireParams) -> AttributedGraph:
     """
     rng = np.random.default_rng(params.seed)
     n = params.n
-    out_links: list[list[int]] = [[] for _ in range(n)]
+    out_links: list[list[int]] = [[] for _ in range(n)]  # out_links[w]: the nodes w burned
     in_links: list[list[int]] = [[] for _ in range(n)]
-    heads: list[int] = []  # edge (heads[i], tails[i]) joins a burned node to its newcomer
-    tails: list[int] = []
 
     for w in range(1, n):
         ambassador = int(rng.integers(w))
         visited = {ambassador}
-        frontier = deque([ambassador])
-        burned = [ambassador]
-        while frontier:
-            x = frontier.popleft()
+        burned = [ambassador]  # also the breadth-first queue, read while it grows
+        for x in burned:
             n_fwd = int(rng.geometric(1.0 - params.p_forward)) - 1
             n_bwd = int(rng.geometric(1.0 - params.p_backward)) - 1
             for links, want in ((out_links[x], n_fwd), (in_links[x], n_bwd)):
                 if want <= 0:
                     continue
-                avail = [y for y in links if y not in visited]
+                avail = links if visited.isdisjoint(links) else [
+                    y for y in links if y not in visited]
                 if not avail:
                     continue
-                if want >= len(avail):
-                    chosen = avail
-                else:
+                if want < len(avail):
                     picks = rng.choice(len(avail), size=want, replace=False)
-                    chosen = [avail[int(i)] for i in picks]
-                for y in chosen:
-                    visited.add(y)
-                    frontier.append(y)
-                    burned.append(y)
+                    avail = [avail[int(i)] for i in picks]
+                visited.update(avail)
+                burned += avail
         out_links[w] = burned
         for x in burned:
             in_links[x].append(w)
-        heads += burned
-        tails += [w] * len(burned)
 
-    return build_graph(np.array([heads, tails], dtype=np.int64).T, [], n, 0)
+    sizes = np.fromiter(map(len, out_links), dtype=np.int64, count=n)
+    heads = np.fromiter(chain.from_iterable(out_links), dtype=np.int64, count=int(sizes.sum()))
+    return build_graph(np.stack([heads, np.repeat(np.arange(n), sizes)], axis=1), [], n, 0)
 
 
 def bernoulli_attributes(G: AttributedGraph, k: int, p: float,

@@ -5,6 +5,7 @@ pairs, math-module scalars) so it shares no code path with the package.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -300,6 +301,48 @@ def loop_planted_instance(spec):
         z = F @ W[:, :-1].T + W[:, -1]
         attrs = np.argwhere(rng.random((n, k)) < np.exp(-np.logaddexp(0.0, -z)))
     return np.array(edges, dtype=np.int64).reshape(-1, 2), attrs, F, W
+
+
+def loop_forest_fire(params):
+    """forest_fire with a separate breadth-first queue, a filtered copy of
+    every link list and the edge lists grown per newcomer; returns the graph."""
+    from attricom import build_graph
+
+    rng = np.random.default_rng(params.seed)
+    n = params.n
+    out_links = [[] for _ in range(n)]
+    in_links = [[] for _ in range(n)]
+    heads, tails = [], []
+    for w in range(1, n):
+        ambassador = int(rng.integers(w))
+        visited = {ambassador}
+        frontier = deque([ambassador])
+        burned = [ambassador]
+        while frontier:
+            x = frontier.popleft()
+            n_fwd = int(rng.geometric(1.0 - params.p_forward)) - 1
+            n_bwd = int(rng.geometric(1.0 - params.p_backward)) - 1
+            for links, want in ((out_links[x], n_fwd), (in_links[x], n_bwd)):
+                if want <= 0:
+                    continue
+                avail = [y for y in links if y not in visited]
+                if not avail:
+                    continue
+                if want >= len(avail):
+                    chosen = avail
+                else:
+                    picks = rng.choice(len(avail), size=want, replace=False)
+                    chosen = [avail[int(i)] for i in picks]
+                for y in chosen:
+                    visited.add(y)
+                    frontier.append(y)
+                    burned.append(y)
+        out_links[w] = burned
+        for x in burned:
+            in_links[x].append(w)
+        heads += burned
+        tails += [w] * len(burned)
+    return build_graph(np.array([heads, tails], dtype=np.int64).T, [], n, 0)
 
 
 def lexsort_csr(heads, tails, n):

@@ -25,6 +25,9 @@ pytestmark = pytest.mark.slow
 PLANT = dict(n=400, c=4, k=16, membership_prob=0.25, strength=1.0,
              weight_scale=5.0, bias=-2.0)
 
+# Identical fits per size timed by criterion 7.
+SCALING_FITS = 4
+
 # Fit outputs stashed by criteria 4 and 5 so criterion 9 can check them
 # without refitting.
 _FIT_OUTPUTS: list[tuple[ac.AffiliationMatrix, int]] = []
@@ -205,11 +208,15 @@ def test_07_near_linear_scaling():
         work = graph.num_edges + graph.num_nodes * graph.num_attrs
         config = ac.FitConfig(alpha=0.5, lam=1.0, max_outer_iters=3,
                               rel_improvement_tol=0.0, rng_seed=0)
-        result = ac.fit(graph, 10, config)
         # Only full passes update every node; a shrunk pass would time the
-        # attribute pass and the objective instead of the node pass.
-        full = [t for t, k in zip(result.iter_seconds, result.nodes_updated)
-                if k == graph.num_nodes]
+        # attribute pass and the objective instead of the node pass. One fit
+        # has two full passes, too few for a minimum that is steady on a
+        # shared machine, so the identical fit is run SCALING_FITS times.
+        full = []
+        for _ in range(SCALING_FITS):
+            result = ac.fit(graph, 10, config)
+            full += [t for t, k in zip(result.iter_seconds, result.nodes_updated)
+                     if k == graph.num_nodes]
         measured.append((n, work, min(full)))
     ok = True
     details = []

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from attricom import (ForestFireParams, build_graph, conductance, forest_fire,
                       init_affiliations, locally_minimal_neighborhoods, seeding)
+from attricom.core import contains
 
 from oracles import (loop_cover_by_neighbours, loop_locally_minimal, naive_conductance,
                      naive_locally_minimal)
@@ -27,6 +28,71 @@ def _small_graphs(draw):
 
 def _triples(seeds):
     return [(s.members, s.conductance, s.center) for s in seeds]
+
+
+def _hub_graph():
+    """40 hubs with 30 leaves each (leaves paired by an edge), hub-hub edges at
+    p = 0.5 and one node joined to every hub: its 40 out-edges (toward the
+    higher-degree hubs) make 780 wedges at one node."""
+    rng = np.random.default_rng(4)
+    hubs, per_hub = 40, 30
+    edges = [(h, a) for h in range(hubs) for a in range(hubs) if h < a and rng.random() < 0.5]
+    leaf = hubs
+    for h in range(hubs):
+        edges += [(h, leaf + i) for i in range(per_hub)]
+        edges += [(leaf + i, leaf + i + 1) for i in range(0, per_hub, 2)]
+        leaf += per_hub
+    edges += [(h, leaf) for h in range(hubs)]
+    return build_graph(edges, [], leaf + 1, 0)
+
+
+def _keys_at_slot(num_keys, slot, count):
+    """count keys whose first slot is `slot` in the table of a set of num_keys keys."""
+    probe = seeding._KeySet(np.arange(num_keys, dtype=np.int64))
+    candidates = np.arange(200_000, dtype=np.int64)
+    return candidates[probe._home(candidates) == slot][:count]
+
+
+class TestKeySet:
+    def _check(self, stored, queries):
+        key_set = seeding._KeySet(stored.copy())
+        got = key_set.contains(queries)
+        assert np.array_equal(got, contains(np.sort(stored), queries))
+        return got
+
+    def test_empty_set(self):
+        got = self._check(np.zeros(0, dtype=np.int64), np.array([0, 1, 7, 2**40]))
+        assert not got.any()
+
+    def test_keys_sharing_one_slot(self):
+        crowded = _keys_at_slot(8, 5, 8)  # every key's first slot is 5 of 32
+        assert crowded.size == 8
+        others = _keys_at_slot(8, 5, 12)[8:]  # absent, and their probes cross all of them
+        got = self._check(crowded, np.concatenate([crowded, others, crowded[::-1]]))
+        assert got.sum() == 16
+
+    def test_probe_wraps_past_table_end(self):
+        last = _keys_at_slot(8, 31, 10)  # slot 31 is the table's last
+        got = self._check(last[:8], last)
+        assert got.tolist() == [True] * 8 + [False] * 2
+
+    def test_absent_keys(self):
+        rng = np.random.default_rng(5)
+        stored = np.unique(rng.integers(0, 10**12, size=5000))
+        queries = np.concatenate([stored, rng.integers(0, 10**12, size=5000), stored + 1])
+        self._check(stored, queries)
+
+
+class TestTriangles:
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 13])
+    def test_counts_match_common_neighbours(self, chunk, monkeypatch):
+        monkeypatch.setattr(seeding, "_PAIR_CHUNK", chunk)
+        for g in (_hub_graph(), build_graph(TRIANGLES_BRIDGE, [], 7, 0),
+                  build_graph([], [], 3, 0), forest_fire(ForestFireParams(n=300, seed=2))):
+            nbrs = [set(g.neighbors(u).tolist()) for u in range(g.num_nodes)]
+            want = [sum(len(nbrs[u] & nbrs[v]) for v in nbrs[u]) // 2 for u in range(g.num_nodes)]
+            key_set = seeding._KeySet(g.edges[:, 0] * g.num_nodes + g.edges[:, 1])
+            assert seeding._triangles(g, key_set).tolist() == want
 
 
 class TestConductance:
@@ -122,6 +188,14 @@ class TestLocallyMinimalNeighborhoods:
         monkeypatch.setattr(seeding, "_PAIR_CHUNK", 997)
         assert locally_minimal_neighborhoods(g) == expected
 
+    @pytest.mark.parametrize("chunk", [5, 64, 1 << 13])
+    def test_matches_loop_on_hub_graph(self, chunk, monkeypatch):
+        # The 780 wedges of the node joined to every hub span many chunks.
+        g = _hub_graph()
+        expected = loop_locally_minimal(g)
+        monkeypatch.setattr(seeding, "_PAIR_CHUNK", chunk)
+        assert expected and locally_minimal_neighborhoods(g) == expected
+
     @settings(max_examples=200, deadline=None)
     @given(_small_graphs())
     def test_matches_naive_on_small_graphs(self, g):
@@ -170,6 +244,24 @@ class TestInitAffiliations:
         assert F.values[8].any()
         assert not F.values[9].any()
         assert np.array_equal(F.values, init_affiliations(g, 2, seed=3).values)
+
+    @pytest.mark.parametrize("C", [1, 4, 40])
+    def test_seed_columns_are_first_seed_sets(self, C, monkeypatch):
+        monkeypatch.setattr(seeding, "_cover_by_neighbours", lambda G, values: None)
+        for g in (forest_fire(ForestFireParams(n=500, seed=3)), build_graph(TRIANGLES_BRIDGE, [], 8, 0)):
+            seeds = locally_minimal_neighborhoods(g)
+            F = init_affiliations(g, C, seed=9).values
+            take = min(C, len(seeds))
+            for j in range(take):
+                assert np.flatnonzero(F[:, j]).tolist() == sorted(seeds[j].members)
+            # Columns beyond the seeds are drawn at the average seed size.
+            p = min(1.0, sum(len(s.members) for s in seeds) / len(seeds) / g.num_nodes)
+            rng = np.random.default_rng(9)
+            for j in range(take, C):
+                col = rng.random(g.num_nodes) < p
+                while not col.any():
+                    col = rng.random(g.num_nodes) < p
+                assert np.array_equal(F[:, j], col.astype(float))
 
     def test_cover_by_neighbours_matches_loop(self):
         rng = np.random.default_rng(11)

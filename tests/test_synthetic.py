@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import attricom.synthetic as synthetic
 from attricom import (ForestFireParams, PlantedSpec, bernoulli_attributes,
                       forest_fire, planted_instance, remove_edges)
-from oracles import has_edge, loop_planted_instance
+from oracles import has_edge, loop_forest_fire, loop_planted_instance
 
 # The planted family of the acceptance tests and the benchmark.
 _PLANT = dict(c=4, k=16, membership_prob=0.25, strength=1.0, weight_scale=5.0, bias=-2.0)
@@ -74,6 +74,17 @@ class TestForestFire:
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):
             ForestFireParams(n=5, p_forward=1.0)
+
+    @pytest.mark.parametrize("params", [
+        ForestFireParams(n=1), ForestFireParams(n=2, seed=123), ForestFireParams(n=3, seed=4),
+        ForestFireParams(n=400, seed=0), ForestFireParams(n=400, p_forward=0.7, seed=2),
+        ForestFireParams(n=300, p_forward=0.0, p_backward=0.6, seed=3),
+        ForestFireParams(n=300, p_forward=0.5, p_backward=0.0, seed=11),
+        ForestFireParams(n=2000, seed=7)])
+    def test_matches_loop(self, params):
+        got, want = forest_fire(params), loop_forest_fire(params)
+        assert got.num_nodes == want.num_nodes
+        assert np.array_equal(got.edges, want.edges)
 
 
 class TestBernoulliAttributes:
