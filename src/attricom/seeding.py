@@ -29,17 +29,18 @@ class _KeySet:
     keys at once.
 
     Open addressing with linear probing in the smallest power-of-two table of
-    at least three slots per key, -1 marking an empty slot. A key's first
-    slot is the top bits of key * _HASH_MULTIPLIER mod 2^64. Inserts and
-    lookups move every key still pending one slot on per round, as array
-    operations.
+    at least three slots per key, -1 marking an empty slot; the slots are
+    int32 when every key fits. A key's first slot is the top bits of
+    key * _HASH_MULTIPLIER mod 2^64. Inserts and lookups move every key
+    still pending one slot on per round, as array operations.
     """
 
     def __init__(self, keys: np.ndarray):
         bits = max(1, (3 * keys.size - 1).bit_length())
         self._shift = np.uint64(64 - bits)
         self._mask = (1 << bits) - 1
-        self._table = np.full(1 << bits, -1, dtype=np.int64)
+        narrow = keys.max(initial=0) <= np.iinfo(np.int32).max
+        self._table = np.full(1 << bits, -1, dtype=np.int32 if narrow else np.int64)
         slot = self._home(keys)
         while keys.size:
             free = self._table[slot] < 0
@@ -124,17 +125,17 @@ def _triangles(G: AttributedGraph, edge_keys: _KeySet) -> np.ndarray:
     cum = np.cumsum(run_end[src] - np.arange(src.size) - 1)  # pairs up to each out-edge
     total = int(cum[-1]) if cum.size else 0
     bounds = np.unique(np.searchsorted(cum, np.arange(0, total, _PAIR_CHUNK), side="right"))
-    as_first = np.zeros(src.size, dtype=np.int64)  # triangles each out-edge found
-    as_second = np.zeros(src.size, dtype=np.int64)
+    del cum
+    closes = np.zeros(src.size, dtype=np.int64)  # triangles found by each out-edge
     for start, stop in zip(bounds, [*bounds[1:], src.size]):
         after = np.arange(start + 1, stop + 1)
         second, owner = _ranges(after, run_end[src[start:stop]] - after)
         hit = np.flatnonzero(edge_keys.contains(pair_keys(dst[start + owner], dst[second], n)))
-        as_first[start:stop] += np.bincount(owner[hit], minlength=stop - start)
-        found = np.bincount(second[hit] - start)
-        as_second[start:start + found.size] += found
-    return (np.bincount(src, weights=as_first, minlength=n)
-            + np.bincount(dst, weights=as_first + as_second, minlength=n)).astype(np.int64)
+        found = np.bincount(np.concatenate([owner[hit], second[hit] - start]))
+        closes[start:start + found.size] += found
+    # Both out-edges of a triangle's pair leave its lowest node.
+    return (np.bincount(src, weights=closes, minlength=n) / 2
+            + np.bincount(dst, weights=closes, minlength=n)).astype(np.int64)
 
 
 def locally_minimal_neighborhoods(G: AttributedGraph) -> list[SeedSet]:
@@ -155,10 +156,10 @@ def locally_minimal_neighborhoods(G: AttributedGraph) -> list[SeedSet]:
     edges oriented by (degree, id). It looks node pairs up in a hashed set of
     the edge pair keys (3 to 6 table slots per edge, about 1.3 probes per
     lookup), in chunks of about 2^13 pairs (_PAIR_CHUNK), which bounds the
-    rest of its memory. Two adjacent nodes
-    have the same closed neighborhood exactly when d_u = d_v = c_uv + 1,
-    c_uv their common neighbors; that is counted only on edges whose ends
-    tie in degree and conductance.
+    rest of its memory. Two adjacent nodes have the same closed
+    neighborhood exactly when d_u = d_v = c_uv + 1, c_uv their common
+    neighbors; that is counted only on edges whose ends tie in degree and
+    conductance.
     """
     centers, phi = _seed_centers(G)
     return [SeedSet(frozenset([int(c), *G.neighbors(c).tolist()]), float(phi[c]), int(c))
