@@ -214,17 +214,16 @@ def init_affiliations(G: AttributedGraph, C: int, seed: int) -> AffiliationMatri
         raise ValueError("community count must be >= 1")
     n = G.num_nodes
     centers, _ = _seed_centers(G)
-    sizes = G.degrees[centers] + 1  # closed neighborhoods
     values = np.zeros((n, C))
     take = min(C, centers.size)
     indptr, indices = G.adjacency
-    nbr_pos, column = _ranges(indptr[centers[:take]], sizes[:take] - 1)
+    nbr_pos, column = _ranges(indptr[centers[:take]], G.degrees[centers[:take]])
     values[indices[nbr_pos], column] = 1.0
     values[centers[:take], np.arange(take)] = 1.0
 
     if take < C:
-        if take:
-            avg_size = int(sizes.sum()) / centers.size
+        if centers.size:  # a seed set is a center and its neighbors
+            avg_size = int(G.degrees[centers].sum() + centers.size) / centers.size
         else:
             avg_size = 1.0 + 2.0 * G.num_edges / n
         p = min(1.0, max(avg_size / n, 1.0 / n))

@@ -248,7 +248,8 @@ class TestInitAffiliations:
     @pytest.mark.parametrize("C", [1, 4, 40])
     def test_seed_columns_are_first_seed_sets(self, C, monkeypatch):
         monkeypatch.setattr(seeding, "_cover_by_neighbours", lambda G, values: None)
-        for g in (forest_fire(ForestFireParams(n=500, seed=3)), build_graph(TRIANGLES_BRIDGE, [], 8, 0)):
+        for g in (forest_fire(ForestFireParams(n=500, seed=3)),
+                  build_graph(TRIANGLES_BRIDGE, [], 8, 0)):
             seeds = locally_minimal_neighborhoods(g)
             F = init_affiliations(g, C, seed=9).values
             take = min(C, len(seeds))
