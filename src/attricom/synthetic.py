@@ -60,6 +60,62 @@ class PlantedSpec:
             raise ValueError("strength must be > 0")
 
 
+def _bounded_draws(bit_generator):
+    """Return draw(high), a uniform integer in [0, high], fed by raw 64-bit words.
+
+    It reproduces numpy's `Generator.integers(0, high, endpoint=True)` for
+    `0 <= high < 2**32 - 1` (numpy switches to 64-bit draws above that):
+    Lemire's 32-bit multiply-and-reject method (ACM TOMACS 2019) on the
+    word's lower half, with the upper half kept for the next 32-bit draw and
+    no word read when high == 0. Draws that read whole words, such as
+    `Generator.geometric`, never take the spare half, so they may be
+    interleaved on the same bit generator.
+    """
+    raw = bit_generator.random_raw
+    spare = None
+
+    def draw(high):
+        nonlocal spare
+        if high == 0:
+            return 0
+        span = high + 1
+        threshold = (0x100000000 - span) % span
+        while True:
+            if spare is None:
+                word = raw()
+                half, spare = word & 0xFFFFFFFF, word >> 32
+            else:
+                half, spare = spare, None
+            m = half * span
+            if (m & 0xFFFFFFFF) >= threshold:
+                return m >> 32
+
+    return draw
+
+
+def _choice(draw, pop, size):
+    """Reproduce `Generator.choice(pop, size, replace=False)` as a list.
+
+    Like numpy, this is Floyd's algorithm followed by a shuffle of the sample,
+    or, when pop > 10000 and size > pop // 50, a Fisher-Yates shuffle of the
+    last `size` slots of range(pop); `draw` is a `_bounded_draws` function.
+    """
+    if pop > 10000 and size > pop // 50:
+        picks, first = list(range(pop)), max(pop - size, 1)
+    else:
+        picks, taken, first = [], set(), 1
+        for j in range(pop - size, pop):
+            v = draw(j)
+            if v in taken:
+                v = j
+            taken.add(v)
+            picks.append(v)
+    for i in range(len(picks) - 1, first - 1, -1):
+        j = draw(i)
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks[len(picks) - size:]
+
+
 def forest_fire(params: ForestFireParams) -> AttributedGraph:
     """Grow a connected graph by the forest-fire process (no attributes).
 
@@ -68,14 +124,17 @@ def forest_fire(params: ForestFireParams) -> AttributedGraph:
     forward (out-link) and backward (in-link) spreads per burning node with
     means p/(1-p), never revisiting a node. The newcomer links to every burned
     node; burn directions only steer the spread, edges are stored undirected.
+    The ambassadors and burned subsets are numpy's `integers` and `choice`
+    draws, taken straight from the bit generator's words (`_bounded_draws`).
     """
     rng = np.random.default_rng(params.seed)
+    draw = _bounded_draws(rng.bit_generator)
     n = params.n
     out_links: list[list[int]] = [[] for _ in range(n)]  # out_links[w]: the nodes w burned
     in_links: list[list[int]] = [[] for _ in range(n)]
 
     for w in range(1, n):
-        ambassador = int(rng.integers(w))
+        ambassador = draw(w - 1)
         visited = {ambassador}
         burned = [ambassador]  # also the breadth-first queue, read while it grows
         for x in burned:
@@ -89,8 +148,7 @@ def forest_fire(params: ForestFireParams) -> AttributedGraph:
                 if not avail:
                     continue
                 if want < len(avail):
-                    picks = rng.choice(len(avail), size=want, replace=False)
-                    avail = [avail[int(i)] for i in picks]
+                    avail = [avail[i] for i in _choice(draw, len(avail), want)]
                 visited.update(avail)
                 burned += avail
         out_links[w] = burned

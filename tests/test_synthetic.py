@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import deque
 from unittest import mock
@@ -80,11 +81,85 @@ class TestForestFire:
         ForestFireParams(n=400, seed=0), ForestFireParams(n=400, p_forward=0.7, seed=2),
         ForestFireParams(n=300, p_forward=0.0, p_backward=0.6, seed=3),
         ForestFireParams(n=300, p_forward=0.5, p_backward=0.0, seed=11),
-        ForestFireParams(n=2000, seed=7)])
+        ForestFireParams(n=2000, seed=7),
+        # Both burn probabilities above 2/3, so that both geometric draws take
+        # numpy's inversion branch (p_forward=0.7 above sends only one there).
+        ForestFireParams(n=300, p_forward=0.9, p_backward=0.8, seed=5)])
     def test_matches_loop(self, params):
         got, want = forest_fire(params), loop_forest_fire(params)
         assert got.num_nodes == want.num_nodes
         assert np.array_equal(got.edges, want.edges)
+
+    def test_bench_graph_is_pinned(self):
+        # The benchmark's ff30k-detect input at seed 1, as the numpy-calling
+        # burn generated it.
+        g = forest_fire(ForestFireParams(n=30000, seed=1))
+        assert hashlib.sha256(g.edges.tobytes()).hexdigest() == (
+            "9aa4bd4ecc8eade9c34dfc26902b82b15510ec5e507e8a99ea858fbab43a7b3c")
+
+
+# Inclusive bounds of _bounded_draws: the ends of its domain, powers of two
+# and their neighbours, and a large odd bound whose rejection zone is wide.
+_BOUNDS = [0, 1, 2, 3, 2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 2]
+
+
+class TestBoundedDraws:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_numpy_integers_between_geometric_draws(self, seed):
+        # A geometric draw after every second bounded draw sits between the two
+        # halves of one word: the spare half must outlive it.
+        ours, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = synthetic._bounded_draws(ours.bit_generator)
+        highs = _BOUNDS + np.random.default_rng(1000 + seed).integers(
+            0, 2**32 - 1, 200).tolist()
+        for i, high in enumerate(highs):
+            assert draw(high) == numpy_rng.integers(0, high, endpoint=True), (i, high)
+            if i % 2:
+                for p in (0.64, 0.2):  # numpy's search and inversion branches
+                    assert ours.geometric(p) == numpy_rng.geometric(p)
+        assert ours.random() == numpy_rng.random()
+
+    def test_high_zero_reads_no_word(self):
+        ours, numpy_rng = np.random.default_rng(3), np.random.default_rng(3)
+        draw = synthetic._bounded_draws(ours.bit_generator)
+        assert [draw(0) for _ in range(5)] == [0] * 5
+        assert ours.bit_generator.state == numpy_rng.bit_generator.state
+
+    def test_rejects_like_numpy(self):
+        # With high = 3 * 2**30 a quarter of all 32-bit halves is rejected.
+        ours, numpy_rng = np.random.default_rng(8), np.random.default_rng(8)
+        draw = synthetic._bounded_draws(ours.bit_generator)
+        high = 3 * 2**30
+        got = [draw(high) for _ in range(2000)]
+        assert got == numpy_rng.integers(0, high, 2000, endpoint=True).tolist()
+        assert ours.random() == numpy_rng.random()
+
+
+class TestChoice:
+    @pytest.mark.parametrize("pop,size", [
+        (2, 1), (7, 1), (7, 6), (50, 1), (50, 49),
+        (10000, 1), (10000, 200), (10000, 201), (10000, 9999),
+        (10001, 1), (10001, 200), (10001, 201), (10001, 10000), (25000, 501)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_numpy_choice(self, pop, size, seed):
+        # Three samples in a row, so that spare halves carry from one to the next.
+        ours, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = synthetic._bounded_draws(ours.bit_generator)
+        for _ in range(3):
+            assert synthetic._choice(draw, pop, size) == numpy_rng.choice(
+                pop, size, replace=False).tolist()
+        assert ours.random() == numpy_rng.random()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), pop=st.integers(2, 30000), data=st.data())
+    def test_matches_numpy_choice_property(self, seed, pop, data):
+        size = data.draw(st.integers(1, pop - 1), label="size")
+        ours, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = synthetic._bounded_draws(ours.bit_generator)
+        draw(pop)  # leaves a spare half for the sample to start from
+        numpy_rng.integers(0, pop, endpoint=True)
+        assert synthetic._choice(draw, pop, size) == numpy_rng.choice(
+            pop, size, replace=False).tolist()
 
 
 class TestBernoulliAttributes:
