@@ -34,42 +34,53 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list: {text!r}")
+def _number_list(kind):
+    """Parser of a comma-separated list of `kind` (int or float) values."""
+    noun = "integer" if kind is int else "number"
+
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated {noun} list: {text!r}")
+    return parse
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated number list: {text!r}")
+def _add_fit_flags(p: argparse.ArgumentParser, max_iters: int = FitConfig.max_outer_iters,
+                   seed_help: str = "random seed") -> None:
+    """The FitConfig flags but alpha, with FitConfig's defaults."""
+    p.add_argument("--lambda", dest="lam", type=float, default=FitConfig.lam,
+                   help="l1 strength on non-bias attribute weights (default %(default)s)")
+    p.add_argument("--max-iters", type=int, default=max_iters,
+                   help="outer iteration cap (default %(default)s)")
+    p.add_argument("--tol", type=float, default=FitConfig.rel_improvement_tol,
+                   help="relative objective improvement to keep iterating (default %(default)s)")
+    p.add_argument("--seed", type=int, default=FitConfig.rng_seed,
+                   help=f"{seed_help} (default %(default)s)")
 
 
-def _add_fit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.5,
-                   help="attribute likelihood weight in [0, 1] (default 0.5)")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                   help="l1 strength on non-bias attribute weights (default 1.0)")
-    p.add_argument("--max-iters", type=int, default=1000,
-                   help="outer iteration cap (default 1000)")
-    p.add_argument("--tol", type=float, default=1e-5,
-                   help="relative objective improvement to keep iterating (default 1e-5)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+def _config_from(args, **fields) -> FitConfig:
+    """FitConfig from the flags of _add_fit_flags, plus the given fields."""
+    return FitConfig(**{"lam": args.lam, "max_outer_iters": args.max_iters,
+                        "rel_improvement_tol": args.tol, "rng_seed": args.seed, **fields})
 
 
-def _config_from(args) -> FitConfig:
-    return FitConfig(alpha=args.alpha, lam=args.lam, max_outer_iters=args.max_iters,
-                     rel_improvement_tol=args.tol, rng_seed=args.seed)
+def _add_planted_flags(p: argparse.ArgumentParser, **sizes) -> None:
+    """The PlantedSpec flags but the seed, with PlantedSpec's defaults; --n,
+    --communities and --attrs default to the given sizes, else are required."""
+    for flag, help_text in (("n", "node count"), ("communities", "planted community count"),
+                            ("attrs", "attribute count")):
+        p.add_argument(f"--{flag}", type=int, default=sizes.get(flag),
+                       required=flag not in sizes, help=help_text)
+    for flag in ("membership_prob", "strength", "weight_scale", "bias"):
+        p.add_argument(f"--{flag.replace('_', '-')}", type=float,
+                       default=getattr(PlantedSpec, flag), help="(default %(default)s)")
 
 
-def _add_planted_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--membership-prob", type=float, default=0.25)
-    p.add_argument("--strength", type=float, default=1.0)
-    p.add_argument("--weight-scale", type=float, default=5.0)
-    p.add_argument("--bias", type=float, default=-2.0)
+def _planted_spec(args, seed: int) -> PlantedSpec:
+    return PlantedSpec(n=args.n, c=args.communities, k=args.attrs,
+                       membership_prob=args.membership_prob, strength=args.strength,
+                       weight_scale=args.weight_scale, bias=args.bias, seed=seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,10 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attribute file, one u<TAB>k per line (optional)")
     p.add_argument("-c", "--communities", required=True,
                    help="community count, or 'auto' for held-out selection")
-    p.add_argument("--candidates", type=_int_list, default=[2, 4, 8, 16, 32],
-                   help="distinct candidate counts for -c auto (default 2,4,8,16,32)")
+    p.add_argument("--candidates", type=_number_list(int), default="2,4,8,16,32",
+                   help="distinct candidate counts for -c auto (default %(default)s)")
     p.add_argument("--delta", type=float, default=None,
                    help="membership threshold override (default sqrt(-log(1-1/N)))")
+    p.add_argument("--alpha", type=float, default=FitConfig.alpha,
+                   help="attribute likelihood weight in [0, 1] (default %(default)s)")
     _add_fit_flags(p)
     p.add_argument("-o", "--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_detect)
@@ -104,36 +117,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = gen_sub.add_parser("forest-fire", help="forest-fire graph, no attributes")
     g.add_argument("--n", type=int, required=True, help="node count")
-    g.add_argument("--p-forward", type=float, default=0.36)
-    g.add_argument("--p-backward", type=float, default=0.32)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--p-forward", type=float, default=ForestFireParams.p_forward,
+                   help="forward burning probability (default %(default)s)")
+    g.add_argument("--p-backward", type=float, default=ForestFireParams.p_backward,
+                   help="backward burning probability (default %(default)s)")
+    g.add_argument("--seed", type=int, default=ForestFireParams.seed,
+                   help="random seed (default %(default)s)")
     g.add_argument("-o", "--out", required=True, help="output path prefix")
     g.set_defaults(func=cmd_gen_forest_fire)
 
     g = gen_sub.add_parser("planted", help="instance sampled from the generative model")
-    g.add_argument("--n", type=int, required=True, help="node count")
-    g.add_argument("--communities", type=int, required=True, help="planted community count")
-    g.add_argument("--attrs", type=int, required=True, help="attribute count")
     _add_planted_flags(g)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=PlantedSpec.seed,
+                   help="random seed (default %(default)s)")
     g.add_argument("-o", "--out", required=True, help="output path prefix")
     g.set_defaults(func=cmd_gen_planted)
 
     p = sub.add_parser("robustness",
                        help="mean F1 per (edge-removal fraction, alpha) on planted data")
-    p.add_argument("--n", type=int, default=400)
-    p.add_argument("--communities", type=int, default=4)
-    p.add_argument("--attrs", type=int, default=16)
-    _add_planted_flags(p)
-    p.add_argument("--gammas", type=_float_list, default=[0.0, 0.6],
-                   help="edge-removal fractions (default 0,0.6)")
-    p.add_argument("--alphas", type=_float_list, default=[0.0, 0.5],
-                   help="alpha values to fit at (default 0,0.5)")
+    _add_planted_flags(p, n=400, communities=4, attrs=16)
+    p.add_argument("--gammas", type=_number_list(float), default="0,0.6",
+                   help="edge-removal fractions (default %(default)s)")
+    p.add_argument("--alphas", type=_number_list(float), default="0,0.5",
+                   help="alpha values to fit at (default %(default)s)")
     p.add_argument("--seeds", type=int, default=20, help="number of instance seeds")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--max-iters", type=int, default=150)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0, help="base seed")
+    _add_fit_flags(p, max_iters=150, seed_help="base seed; instance s uses seed + s")
     p.add_argument("-o", "--out", default=None,
                    help="output path prefix (default: table to stdout)")
     p.set_defaults(func=cmd_robustness)
@@ -163,10 +171,9 @@ def cmd_detect(args) -> int:
     t0 = time.perf_counter()
     graph = _load_graph(args.edges, args.attrs)
     t_load = time.perf_counter() - t0
-    _log(f"attricom: detect on N={graph.num_nodes} |E|={graph.num_edges} "
-         f"K={graph.num_attrs}")
+    _log(f"attricom: detect on N={graph.num_nodes} |E|={graph.num_edges} K={graph.num_attrs}")
 
-    config = _config_from(args)
+    config = _config_from(args, alpha=args.alpha)
     delta = default_threshold(graph.num_nodes, args.delta)  # checked before any fit
     manifest: dict[str, object] = {
         "command": "detect",
@@ -244,20 +251,14 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _cover_from_file(path) -> CommunityCover:
-    rows = read_community_file(path)
-    if not rows:
-        raise ValueError(f"{path}: no communities found")
-    universe = max(max(r) for r in rows) + 1
-    return CommunityCover(rows, universe)
-
-
 def cmd_eval(args) -> int:
-    truth = _cover_from_file(args.truth)
-    detected = _cover_from_file(args.detected)
-    universe = max(truth.universe, detected.universe)
-    truth = CommunityCover(truth.communities, universe)
-    detected = CommunityCover(detected.communities, universe)
+    rows = []
+    for path in (args.truth, args.detected):
+        rows.append(read_community_file(path))
+        if not rows[-1]:
+            raise ValueError(f"{path}: no communities found")
+    universe = max(max(r) for r in rows[0] + rows[1]) + 1
+    truth, detected = (CommunityCover(r, universe) for r in rows)
     kind = SimilarityKind.F1 if args.metric == "f1" else SimilarityKind.JACCARD
     score = match_score(truth, detected, kind)
     print(f"{score:.6f}")
@@ -296,9 +297,7 @@ def cmd_gen_forest_fire(args) -> int:
 
 def cmd_gen_planted(args) -> int:
     t0 = time.perf_counter()
-    spec = PlantedSpec(n=args.n, c=args.communities, k=args.attrs,
-                       membership_prob=args.membership_prob, strength=args.strength,
-                       weight_scale=args.weight_scale, bias=args.bias, seed=args.seed)
+    spec = _planted_spec(args, args.seed)
     graph, truth, _, _ = planted_instance(spec)
     edges_path = f"{args.out}.edges.tsv"
     attrs_path = f"{args.out}.attrs.tsv"
@@ -343,22 +342,14 @@ def cmd_robustness(args) -> int:
         (g, a): [] for g in args.gammas for a in args.alphas}
     for s in range(args.seeds):
         instance_seed = args.seed + s
-        spec = PlantedSpec(n=args.n, c=args.communities, k=args.attrs,
-                           membership_prob=args.membership_prob,
-                           strength=args.strength, weight_scale=args.weight_scale,
-                           bias=args.bias, seed=instance_seed)
-        graph, truth, _, _ = planted_instance(spec)
+        graph, truth, _, _ = planted_instance(_planted_spec(args, instance_seed))
         for gamma in args.gammas:
             damaged = remove_edges(graph, gamma, seed=instance_seed + 1_000_003)
             for alpha in args.alphas:
-                config = FitConfig(alpha=alpha, lam=args.lam,
-                                   max_outer_iters=args.max_iters,
-                                   rel_improvement_tol=args.tol,
-                                   rng_seed=instance_seed)
+                config = _config_from(args, alpha=alpha, rng_seed=instance_seed)
                 result = fit(damaged, args.communities, config)
                 cover = threshold_memberships(result.F)
-                score = (match_score(truth, cover, SimilarityKind.F1)
-                         if len(cover) else 0.0)
+                score = match_score(truth, cover, SimilarityKind.F1) if len(cover) else 0.0
                 scores[(gamma, alpha)].append(score)
         _log(f"attricom: robustness seed {s + 1}/{args.seeds} done")
 
@@ -366,8 +357,7 @@ def cmd_robustness(args) -> int:
     for gamma in args.gammas:
         for alpha in args.alphas:
             vals = np.array(scores[(gamma, alpha)])
-            lines.append(f"{gamma:g}\t{alpha:g}\t{vals.mean():.6f}\t"
-                         f"{vals.std():.6f}\t{len(vals)}")
+            lines.append(f"{gamma:g}\t{alpha:g}\t{vals.mean():.6f}\t{vals.std():.6f}\t{len(vals)}")
     table = "\n".join(lines) + "\n"
 
     if args.out:

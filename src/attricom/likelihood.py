@@ -110,7 +110,7 @@ def _attr_loglik(k: int, G: AttributedGraph, F: AffiliationMatrix, w: np.ndarray
     and nothing on the nodes whose k cell is unobserved.
 
     This is the one definition of an attribute's term: log_lik_attr sums it
-    over the attributes, and the solver's weight step records it.
+    over the attributes.
     """
     z = F.values @ w[:-1] + w[-1]
     return _signed_loglik(_attr_signs(k, G) * z, G.unobserved_nodes(k))
@@ -321,15 +321,10 @@ def _attr_grad(k: int, G: AttributedGraph, V: np.ndarray, z: np.ndarray) -> np.n
 
 
 def objective(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights,
-              config: FitConfig, attr_terms=None) -> ObjectiveValue:
-    """Assemble graph, attribute and l1 parts into the scaled fitting objective.
-
-    attr_terms, when given, holds _attr_loglik(k, G, F, W.values[k]) for each
-    attribute k in order (as update_attr_weights records them), and stands
-    in for log_lik_attr, which sums the same terms in the same order.
-    """
+              config: FitConfig) -> ObjectiveValue:
+    """Assemble graph, attribute and l1 parts into the scaled fitting objective."""
     lg = log_lik_graph(G, F)
-    lx = log_lik_attr(G, F, W) if attr_terms is None else sum(attr_terms, 0.0)
+    lx = log_lik_attr(G, F, W)
     l1 = float(config.lam * np.abs(W.values[:, :-1]).sum())
     total = (1.0 - config.alpha) * lg + config.alpha * lx - l1
     return ObjectiveValue(lg, lx, l1, total)

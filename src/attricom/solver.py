@@ -13,7 +13,7 @@ import numpy as np
 from .core import (MAX_MEMBERSHIP, AffiliationMatrix, AttributedGraph,
                    AttributeWeights, CommunityCover, FitConfig,
                    refresh_column_sums)
-from .likelihood import (ObjectiveValue, _attr_grad, _attr_loglik, _attr_signs,
+from .likelihood import (ObjectiveValue, _attr_grad, _attr_signs,
                          _batch_grad, _batch_local_objectives, _BatchState,
                          _grad_from_state, _local_objectives, _NodeState,
                          _signed_loglik, objective)
@@ -203,7 +203,7 @@ def _node_pass(G: AttributedGraph, F: AffiliationMatrix, W: AttributeWeights,
 
 
 def update_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
-                        W: AttributeWeights, config: FitConfig, attr_terms=None) -> np.ndarray:
+                        W: AttributeWeights, config: FitConfig) -> np.ndarray:
     """One backtracking subgradient step on attribute k's logistic weights.
 
     The ascent direction is alpha * data-gradient minus lam * sign(w) on the
@@ -211,32 +211,28 @@ def update_attr_weights(k: int, G: AttributedGraph, F: AffiliationMatrix,
     and shrinks exactly as update_node, on the per-attribute objective
     alpha * likelihood._attr_loglik - lam * ||w||_1 (bias excluded), trial t
     scored as sign * (z + t * dz) from z (shared with the gradient) and
-    dz = V @ d[:-1] + d[-1] formed once. Returns the weights kept; with
-    attr_terms (one entry per attribute), attr_terms[k] receives their term.
+    dz = V @ d[:-1] + d[-1] formed once. Returns the weights kept.
     """
     V, hidden = F.values, G.unobserved_nodes(k)
-    w_old = kept = W.values[k].copy()
+    w_old = W.values[k].copy()
     z = V @ w_old[:-1] + w_old[-1]
     d = config.alpha * _attr_grad(k, G, V, z)
     d[:-1] -= config.lam * np.sign(w_old[:-1])
     d_norm2 = float(d @ d)
+    if d_norm2 == 0.0:
+        return w_old
     signs = _attr_signs(k, G)
     s0 = signs * z
-    loglik = _signed_loglik(s0, hidden)  # _attr_loglik(k, G, F, w_old), bit for bit
-    if d_norm2 != 0.0:
-        base = config.alpha * loglik - config.lam * float(np.abs(w_old[:-1]).sum())
-        ds = signs * (V @ d[:-1] + d[-1])
-        for t in _STEPS:
-            cand = w_old + t * d
-            value = (config.alpha * _signed_loglik(s0 + t * ds, hidden)
-                     - config.lam * float(np.abs(cand[:-1]).sum()))
-            if value - base >= _ARMIJO * t * d_norm2:
-                W.values[k] = kept = cand
-                break
-    if attr_terms is not None:
-        # s0 + t * ds differs from the signed V @ cand in the last bits.
-        attr_terms[k] = loglik if kept is w_old else _attr_loglik(k, G, F, kept)
-    return kept
+    base = config.alpha * _signed_loglik(s0, hidden) - config.lam * float(np.abs(w_old[:-1]).sum())
+    ds = signs * (V @ d[:-1] + d[-1])
+    for t in _STEPS:
+        cand = w_old + t * d
+        value = (config.alpha * _signed_loglik(s0 + t * ds, hidden)
+                 - config.lam * float(np.abs(cand[:-1]).sum()))
+        if value - base >= _ARMIJO * t * d_norm2:
+            W.values[k] = cand
+            return cand
+    return w_old
 
 
 def fit(G: AttributedGraph, C: int, config: FitConfig | None = None,
@@ -289,10 +285,9 @@ def fit(G: AttributedGraph, C: int, config: FitConfig | None = None,
         updated = G.num_nodes if full else G.num_nodes - num_settled
         _node_pass(G, F, W, config, runs, settled, full)
         refresh_column_sums(F)  # drop the rounding the per-row adjustments add up
-        attr_terms = [0.0] * G.num_attrs
         for k in range(G.num_attrs):
-            update_attr_weights(k, G, F, W, config, attr_terms)
-        current = objective(G, F, W, config, attr_terms)
+            update_attr_weights(k, G, F, W, config)
+        current = objective(G, F, W, config)
         iter_seconds.append(time.perf_counter() - tick)
         nodes_updated.append(updated)
         previous = trace[-1].scaled_total

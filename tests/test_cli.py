@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from attricom.cli import main
+import attricom.cli as cli
+import attricom.selection as selection
+import attricom.solver as solver
+from attricom.cli import build_parser, main
 from attricom.fileio import read_manifest, write_community_file, write_edge_file
-from attricom import CommunityCover, PlantedSpec, build_graph, planted_instance
+from attricom import (MIN_DOT_GUARD, CommunityCover, FitConfig, ForestFireParams,
+                      PlantedSpec, build_graph, planted_instance)
 from attricom.fileio import write_attr_file
 
 TWO_CLIQUES = ([(u, v) for u in range(5) for v in range(u + 1, 5)]
@@ -266,3 +270,91 @@ class TestExitCodes:
         rc = main(["detect", "-i", str(clique_edges), "-c", "2",
                    "-o", str(tmp_path / "x")])
         assert rc == 1
+
+
+class TestDefaults:
+    def test_minimal_argv_takes_the_library_defaults(self):
+        parser, cfg = build_parser(), FitConfig()
+        fit_flags = (cfg.lam, cfg.max_outer_iters, cfg.rel_improvement_tol, cfg.rng_seed)
+
+        def fit_values(a):
+            return (a.lam, a.max_iters, a.tol, a.seed)
+
+        detect = parser.parse_args(["detect", "-i", "e", "-c", "2", "-o", "o"])
+        assert fit_values(detect) == fit_flags and detect.alpha == cfg.alpha
+        assert cli._config_from(detect, alpha=detect.alpha) == cfg
+        assert detect.candidates == [2, 4, 8, 16, 32] and detect.delta is None
+
+        spec = PlantedSpec(n=5, c=2, k=3)
+        planted = parser.parse_args(["gen", "planted", "--n", "5", "--communities", "2",
+                                     "--attrs", "3", "-o", "o"])
+        assert cli._planted_spec(planted, planted.seed) == spec
+
+        ff = parser.parse_args(["gen", "forest-fire", "--n", "5", "-o", "o"])
+        params = ForestFireParams(n=5)
+        assert (ff.p_forward, ff.p_backward, ff.seed) == (
+            params.p_forward, params.p_backward, params.seed)
+
+        rob = parser.parse_args(["robustness"])
+        assert fit_values(rob) == (cfg.lam, 150, cfg.rel_improvement_tol, cfg.rng_seed)
+        assert cli._planted_spec(rob, rob.seed) == PlantedSpec(n=400, c=4, k=16)
+        assert (rob.gammas, rob.alphas, rob.seeds, rob.out) == ([0.0, 0.6], [0.0, 0.5], 20, None)
+        assert not hasattr(rob, "alpha")
+
+    @pytest.mark.parametrize("command, shown", [
+        ([], "robustness"),
+        (["detect"], "(default 0.5)"),
+        (["eval"], "--metric"),
+        (["gen"], "forest-fire"),
+        (["gen", "planted"], "(default -2.0)"),
+        (["gen", "forest-fire"], "(default 0.36)"),
+        (["robustness"], "(default 150)"),
+    ], ids=["attricom", "detect", "eval", "gen", "gen-planted", "gen-forest-fire", "robustness"])
+    def test_help_renders(self, capsys, command, shown):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + ["--help"])
+        assert exc.value.code == 0
+        assert shown in " ".join(capsys.readouterr().out.split())
+
+
+class TestBenchmarkContract:
+    """The benchmark (bench/run.py and bench/tracer.py) wraps these module
+    attributes and reads the wrapped calls' arguments by position."""
+
+    @staticmethod
+    def _record(monkeypatch, module, name):
+        calls, fn = [], getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((args, kwargs))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_detect_auto_calls_through_the_captured_names(self, tmp_path, monkeypatch):
+        g, _, _, _ = planted_instance(PlantedSpec(n=60, c=2, k=4, seed=1))
+        edges, attrs = tmp_path / "e.tsv", tmp_path / "a.tsv"
+        write_edge_file(edges, g)
+        write_attr_file(attrs, g)
+        final = self._record(monkeypatch, cli, "fit")
+        candidates = self._record(monkeypatch, solver, "fit")
+        masks = self._record(monkeypatch, selection, "make_holdout")
+        rc = main(["detect", "-i", str(edges), "-a", str(attrs), "-c", "auto",
+                   "--candidates", "2,3", "--max-iters", "5", "-o", str(tmp_path / "r")])
+        assert rc == 0
+        manifest = read_manifest(tmp_path / "r.manifest.tsv")
+        assert len(final) == 1 and final[0][0][1] == int(manifest["communities"])
+        assert sorted(args[1] for args, _ in candidates) == [2, 3]
+        assert len(masks) == 1
+        assert FitConfig().min_dot_guard == MIN_DOT_GUARD
+
+    def test_fit_passes_the_traced_arguments_by_position(self, monkeypatch):
+        g, _, _, _ = planted_instance(PlantedSpec(n=40, c=2, k=3, seed=2))
+        nodes = self._record(monkeypatch, solver, "update_node")
+        attrs = self._record(monkeypatch, solver, "update_attr_weights")
+        objectives = self._record(monkeypatch, solver, "objective")
+        solver.fit(g, 2, FitConfig(max_outer_iters=3))
+        assert nodes and all(len(args) >= 5 for args, _ in nodes)
+        assert attrs and all(len(args) == 5 and not kw for args, kw in attrs)
+        assert objectives and all(len(args) == 4 and not kw for args, kw in objectives)

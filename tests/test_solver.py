@@ -237,24 +237,26 @@ class TestUpdateAttrWeights:
                     assert np.array_equal(W.values[k], want)
 
     def test_records_the_term_of_the_weights_kept(self):
+        # The weights returned are the row W holds after the step; on the
+        # saturated cases no step passes, so that row is the one before it.
         rng = np.random.default_rng(6)
         g = _planted_like(rng, n=20, k=3)
         F = AffiliationMatrix(rng.uniform(0, 1.5, size=(20, 2)))
         W = AttributeWeights(rng.uniform(-1, 1, size=(3, 3)))
         saturated = build_graph([], [(u, 0) for u in range(3)], 3, 1)
-        cases = [(g, F, W, FitConfig(lam=lam)) for lam in (0.0, 1.0, 50.0)]
+        cases = [(g, F, W, FitConfig(lam=lam), False) for lam in (0.0, 1.0, 50.0)]
         # Saturated: a zero direction; then one whose every step crosses zero
         # and raises the l1 cost, so no trial passes.
         for w, lam in (([0.0, 50.0], 0.0), ([1e-12, 50.0], 1.0)):
             cases.append((saturated, AffiliationMatrix(np.ones((3, 1))),
-                          AttributeWeights([w]), FitConfig(lam=lam)))
-        for G, F, W, cfg in cases:
+                          AttributeWeights([w]), FitConfig(lam=lam), True))
+        for G, F, W, cfg, stays in cases:
             for _ in range(3):
-                terms = [None] * G.num_attrs
                 for k in range(G.num_attrs):
-                    w = update_attr_weights(k, G, F, W, cfg, terms)
-                    assert terms[k] == _attr_loglik(k, G, F, W.values[k])
+                    before = W.values[k].copy()
+                    w = update_attr_weights(k, G, F, W, cfg)
                     assert np.array_equal(w, W.values[k])
+                    assert not stays or np.array_equal(w, before)
 
 
 class TestFit:
@@ -311,19 +313,21 @@ class TestFit:
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_trace_reuses_the_weight_pass_terms(self, monkeypatch, masked):
+        # Each trace entry equals objective recomputed afterwards on copies of
+        # the F and W it was computed from.
         g = _planted_like(np.random.default_rng(9), n=30, c=2, k=3)
         mask = make_holdout(g, 0.2, 1) if masked else None
-        objective_, reused = solver.objective, []
+        objective_, states = solver.objective, []
 
-        def checked(G, F, W, config, *attr_terms):
-            value = objective_(G, F, W, config, *attr_terms)
-            assert value == objective_(G, F, W, config)
-            reused.append(bool(attr_terms))
-            return value
+        def recorded(G, F, W, config):
+            states.append((G, F.values.copy(), W.values.copy(), config))
+            return objective_(G, F, W, config)
 
-        monkeypatch.setattr(solver, "objective", checked)
+        monkeypatch.setattr(solver, "objective", recorded)
         result = fit(g, 2, FitConfig(max_outer_iters=8), mask)
-        assert reused == [False] + [True] * result.iterations_run
+        assert len(states) == len(result.objective_trace) == 1 + result.iterations_run
+        for (G, F, W, config), value in zip(states, result.objective_trace):
+            assert value == objective_(G, AffiliationMatrix(F), AttributeWeights(W), config)
 
     def test_reports_genuine_objective(self):
         rng = np.random.default_rng(8)
@@ -696,9 +700,9 @@ class TestBatchedPass:
             per_node[0] += settled is None or not settled[u]
             return update_node(u, G, F, W, config, settled)
 
-        def snapshot(G, F, W, config, *attr_terms):
+        def snapshot(G, F, W, config):
             snapshots.append(F.values.copy())
-            return objective_(G, F, W, config, *attr_terms)
+            return objective_(G, F, W, config)
 
         monkeypatch.setattr(solver, "update_node", counted)
         monkeypatch.setattr(solver, "objective", snapshot)
